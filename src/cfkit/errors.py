@@ -65,6 +65,10 @@ class NotAutomorphism(ToolkitError):
     """The operation requires a bijective self-homomorphism."""
 
 
+class KindMismatch(ToolkitError):
+    """A map's recorded kind contradicts the laws its images satisfy."""
+
+
 class InvalidAssignment(ToolkitError):
     """A role assignment is malformed: wrong roles, bad index, or repeats."""
 

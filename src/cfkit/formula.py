@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from functools import cached_property
+from operator import itemgetter
+from typing import Callable, Mapping, NamedTuple, Optional
 
 from .errors import (
     ConflictingPairs,
@@ -20,7 +22,7 @@ from .errors import (
     UnknownKind,
     UnsatisfiableConstraint,
 )
-from .groups import FiniteGroup, inverse_of, structure_flags
+from .groups import FiniteGroup
 from .morphisms import GroupMap, enumerate_symmetries
 
 ROLES = ("x", "y", "a", "b")
@@ -75,6 +77,33 @@ def rewrite_side(rule: Rule, side: FormulaSide) -> FormulaSide:
     )
 
 
+# Reads some role terms' values out of a (x, y, a, b, x^-1, y^-1, a^-1, b^-1) tuple.
+_Pick = Callable[[tuple[int, ...]], tuple[int, ...]]
+
+
+def _picker(terms) -> _Pick:
+    return itemgetter(*(ROLES.index(t.role) + len(ROLES) * t.inverted for t in terms))
+
+
+def _with_inverses(G: FiniteGroup, values: tuple[int, ...]) -> tuple[int, ...]:
+    inv = G.inverses
+    x, y, a, b = values
+    return (x, y, a, b, inv[x], inv[y], inv[a], inv[b])
+
+
+class _SymbolicOrbit(NamedTuple):
+    """The chain's symbolic states from step 0 up to, not including, the
+    first repeat; step len(sides) equals step `cycle_start`.
+
+    picks[t] reads step t's (x, y, a, b) values from the start values
+    followed by their inverses.
+    """
+
+    sides: tuple[FormulaSide, ...]
+    picks: tuple[_Pick, ...]
+    cycle_start: int
+
+
 @dataclass(frozen=True)
 class CFVariant:
     """A formula schema: left side, right side, and the substitution between them."""
@@ -89,6 +118,25 @@ class CFVariant:
             raise InconsistentRule(f"rule must cover exactly the roles {ROLES}")
         if rewrite_side(self.rule, self.lhs) != self.rhs:
             raise InconsistentRule("right side is not the rule-image of the left side")
+
+    @cached_property
+    def _rule_pick(self) -> _Pick:
+        return _picker(self.rule[role] for role in ROLES)
+
+    @cached_property
+    def _orbit(self) -> _SymbolicOrbit:
+        # A substitution is one of at most 8^4 values, so a repeat always comes.
+        sides = [self.lhs]
+        substs = [tuple(RoleTerm(role) for role in ROLES)]
+        seen = {substs[0]: 0}
+        while True:
+            nxt = tuple(apply_rule(self.rule, term) for term in substs[-1])
+            if nxt in seen:
+                picks = tuple(_picker(subst) for subst in substs)
+                return _SymbolicOrbit(tuple(sides), picks, seen[nxt])
+            seen[nxt] = len(substs)
+            substs.append(nxt)
+            sides.append(rewrite_side(self.rule, sides[-1]))
 
 
 def _builtin(name: str, rule: dict[str, RoleTerm]) -> CFVariant:
@@ -153,7 +201,7 @@ class RoleAssignment:
 def evaluate_role_term(assignment: RoleAssignment, term: RoleTerm) -> int:
     """The assigned element, or its group inverse for an inverted term."""
     value = assignment.values[term.role]
-    return inverse_of(assignment.group, value) if term.inverted else value
+    return assignment.group.inverses[value] if term.inverted else value
 
 
 @dataclass(frozen=True)
@@ -182,21 +230,27 @@ class PartialMap:
         return all(m.images[src] == dst for src, dst in self.pairs)
 
 
+def _induced_pairs(G: FiniteGroup, values: tuple[int, ...], variant: CFVariant) -> dict[int, int]:
+    """Source to target for each role's value under the variant's rule.
+
+    values follow ROLES.  Roles that share a value must send it to the same
+    element; otherwise ConflictingPairs names the first two that disagree.
+    """
+    mapping: dict[int, int] = {}
+    targets = variant._rule_pick(_with_inverses(G, values))
+    for role, src, dst in zip(ROLES, values, targets):
+        if mapping.setdefault(src, dst) != dst:
+            raise ConflictingPairs(
+                f"roles {ROLES[values.index(src)]!r} and {role!r} share element "
+                f"{G.label(src)!r} but are sent to {G.label(mapping[src])!r} and {G.label(dst)!r}"
+            )
+    return mapping
+
+
 def induced_partial_map(assignment: RoleAssignment, variant: CFVariant) -> PartialMap:
     """The transformation each role's value undergoes under the variant's rule."""
-    mapping: dict[int, int] = {}
-    origin: dict[int, str] = {}
-    for role in ROLES:
-        src = assignment.values[role]
-        dst = evaluate_role_term(assignment, variant.rule[role])
-        if src in mapping and mapping[src] != dst:
-            g = assignment.group
-            raise ConflictingPairs(
-                f"roles {origin[src]!r} and {role!r} share element {g.label(src)!r} "
-                f"but are sent to {g.label(mapping[src])!r} and {g.label(dst)!r}"
-            )
-        mapping.setdefault(src, dst)
-        origin.setdefault(src, role)
+    values = tuple(assignment.values[role] for role in ROLES)
+    mapping = _induced_pairs(assignment.group, values, variant)
     return PartialMap(assignment.group, tuple(sorted(mapping.items())))
 
 
@@ -230,20 +284,28 @@ def enumerate_assignments(
     if not allow_repeats and len(set(pins.values())) != len(pins):
         raise UnsatisfiableConstraint("pinned roles collide but values must be distinct")
 
-    maps = enumerate_symmetries(G, include_anti=allow_anti)
+    # Positions of the symmetries by (element, image) pair: the maps that
+    # realize an assignment are those in the buckets of all its pairs.
+    by_pair: dict[tuple[int, int], set[int]] = {}
+    for i, m in enumerate(enumerate_symmetries(G, include_anti=allow_anti)):
+        for pair in enumerate(m.images):
+            by_pair.setdefault(pair, set()).add(i)
+    nowhere: set[int] = set()
+
     domains = [(pins[role],) if role in pins else tuple(range(G.order)) for role in ROLES]
     results: list[tuple[RoleAssignment, int]] = []
     for combo in itertools.product(*domains):
         if not allow_repeats and len(set(combo)) != len(ROLES):
             continue
-        assignment = RoleAssignment(G, dict(zip(ROLES, combo)), allow_repeats=allow_repeats)
         try:
-            partial = induced_partial_map(assignment, variant)
+            pairs = _induced_pairs(G, combo, variant)
         except ConflictingPairs:
             continue
-        count = sum(1 for m in maps if partial.agrees_with(m))
+        count = len(set.intersection(*(by_pair.get(pair, nowhere) for pair in pairs.items())))
         if count:
-            results.append((assignment, count))
+            results.append(
+                (RoleAssignment(G, dict(zip(ROLES, combo)), allow_repeats=allow_repeats), count)
+            )
     return tuple(results)
 
 
@@ -268,29 +330,6 @@ class ChainResult:
     assignment: Optional[RoleAssignment] = None
 
 
-_IDENTITY_RULE: dict[str, RoleTerm] = {role: RoleTerm(role) for role in ROLES}
-
-
-def _advance_subst(rule: Rule, subst: dict[str, RoleTerm]) -> dict[str, RoleTerm]:
-    return {role: apply_rule(rule, subst[role]) for role in ROLES}
-
-
-def _detect_period(state0, advance, encode, max_states: int) -> Optional[int]:
-    """Least p >= 1 with state_p = state_0, or None if the start never recurs."""
-    start = encode(state0)
-    seen = {start}
-    state = state0
-    for step in range(1, max_states + 2):
-        state = advance(state)
-        key = encode(state)
-        if key == start:
-            return step
-        if key in seen:
-            return None
-        seen.add(key)
-    return None
-
-
 def iterate_chain(
     variant: CFVariant, steps: int, assignment: RoleAssignment | None = None
 ) -> ChainResult:
@@ -302,52 +341,26 @@ def iterate_chain(
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    rule = variant.rule
+    sides, picks, start = variant._orbit
+    length = len(sides)
 
-    def values_of(subst: dict[str, RoleTerm]) -> Optional[tuple[int, int, int, int]]:
-        if assignment is None:
-            return None
-        return tuple(evaluate_role_term(assignment, subst[role]) for role in ROLES)
+    def at(t: int) -> int:
+        return t if t < length else start + (t - start) % (length - start)
 
-    side = variant.lhs
-    subst = dict(_IDENTITY_RULE)
-    chain = [ChainStep(0, side, values_of(subst))]
-    for t in range(1, steps + 1):
-        side = rewrite_side(rule, side)
-        subst = _advance_subst(rule, subst)
-        chain.append(ChainStep(t, side, values_of(subst)))
-
-    def encode_subst(s: dict[str, RoleTerm]) -> tuple:
-        return tuple((s[role].role, s[role].inverted) for role in ROLES)
-
-    # A substitution state is one of at most 8^4 values, so recurrence (or its
-    # impossibility) is always decided within that many steps.
-    symbolic_period = _detect_period(
-        dict(_IDENTITY_RULE),
-        lambda s: _advance_subst(rule, s),
-        encode_subst,
-        max_states=(2 * len(ROLES)) ** len(ROLES),
-    )
+    # The values at a step are a function of its substitution, so they repeat
+    # with it: if step 0's values ever recur, they do so by step `length`.
+    values: list[Optional[tuple[int, int, int, int]]] = [None] * length
     element_period = None
     if assignment is not None:
-        G = assignment.group
-
-        def advance_values(vals: tuple[int, ...]) -> tuple[int, ...]:
-            by_role = dict(zip(ROLES, vals))
-            out = []
-            for role in ROLES:
-                image = rule[role]
-                v = by_role[image.role]
-                out.append(inverse_of(G, v) if image.inverted else v)
-            return tuple(out)
-
-        element_period = _detect_period(
-            tuple(assignment.values[role] for role in ROLES),
-            advance_values,
-            lambda v: v,
-            max_states=G.order ** len(ROLES),
+        initial = tuple(assignment.values[role] for role in ROLES)
+        both = _with_inverses(assignment.group, initial)
+        values = [pick(both) for pick in picks]
+        element_period = next(
+            (t for t in range(1, length + 1) if values[at(t)] == values[0]), None
         )
-    return ChainResult(tuple(chain), symbolic_period, element_period, assignment)
+    chain = tuple(ChainStep(t, sides[at(t)], values[at(t)]) for t in range(steps + 1))
+    symbolic_period = length if start == 0 else None
+    return ChainResult(chain, symbolic_period, element_period, assignment)
 
 
 # ---------------------------------------------------------------------------
@@ -362,23 +375,21 @@ def verify_fraction_rule(G: FiniteGroup, assignment: RoleAssignment) -> bool:
     """
     if assignment.group != G:
         raise InvalidAssignment("assignment belongs to a different group")
-    if not structure_flags(G).commutative:
+    if not G.flags.commutative:
         raise NonCommutativeGroup(
             f"group {G.name!r} is not commutative; the ratio reading is undefined"
         )
     v = assignment.values
-
-    def inv(g: int) -> int:
-        return inverse_of(G, g)
-
-    lhs = G.mul(G.mul(v["x"], inv(v["a"])), inv(G.mul(v["y"], inv(v["b"]))))
-    rhs = G.mul(G.mul(v["x"], inv(v["y"])), inv(G.mul(inv(v["b"]), v["a"])))
+    x, y, a, b = v["x"], v["y"], v["a"], v["b"]
+    t, inv = G.table, G.inverses
+    lhs = t[t[x][inv[a]]][inv[t[y][inv[b]]]]
+    rhs = t[t[x][inv[y]]][inv[t[inv[b]][a]]]
     return lhs == rhs
 
 
 def mosko_degeneration_check(G: FiniteGroup) -> bool:
     """True when inversion is invisible: every element is its own inverse."""
-    return all(inverse_of(G, g) == g for g in range(G.order))
+    return all(h == g for g, h in enumerate(G.inverses))
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ runs on indices and labels appear only at I/O boundaries.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -29,7 +29,13 @@ MAX_ORDER = 64
 
 @dataclass(frozen=True)
 class FiniteGroup:
-    """Immutable group data: element labels and an index-valued product table."""
+    """Immutable group data: element labels and an index-valued product table.
+
+    Values come from build_group, so the table is a validated group.  Facts
+    derived from it (inverses, element orders, flags) are computed on first
+    use and kept on the instance; they are not fields, so equality, hashing
+    and repr see only the table data.
+    """
 
     name: str
     elements: tuple[str, ...]
@@ -39,6 +45,32 @@ class FiniteGroup:
     @property
     def order(self) -> int:
         return len(self.elements)
+
+    @cached_property
+    def inverses(self) -> tuple[int, ...]:
+        """inverses[g] is the index of g^-1."""
+        return tuple(row.index(self.identity) for row in self.table)
+
+    @cached_property
+    def orders(self) -> tuple[int, ...]:
+        """orders[g] is the least m >= 1 with g^m = identity."""
+        orders = []
+        for g in range(self.order):
+            power, m = g, 1
+            while power != self.identity:
+                power = self.table[power][g]
+                m += 1
+            orders.append(m)
+        return tuple(orders)
+
+    @cached_property
+    def flags(self) -> StructureFlags:
+        t, n = self.table, self.order
+        return StructureFlags(
+            commutative=all(t[a][b] == t[b][a] for a in range(n) for b in range(a)),
+            exponent_two=all(t[g][g] == self.identity for g in range(n)),
+            order=n,
+        )
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -55,7 +87,7 @@ class FiniteGroup:
             ) from None
 
     def check_index(self, g: int) -> int:
-        if not isinstance(g, int) or not 0 <= g < len(self.elements):
+        if not isinstance(g, int) or isinstance(g, bool) or not 0 <= g < len(self.elements):
             raise IndexOutOfRange(
                 f"index {g!r} outside [0, {len(self.elements)}) in group {self.name!r}"
             )
@@ -116,7 +148,7 @@ def build_group(
         raise ValueError(f"table must be {n}x{n} to match the element list")
     for r, row in enumerate(rows):
         for c, v in enumerate(row):
-            if not isinstance(v, int) or not 0 <= v < n:
+            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
                 raise ClosureViolation(
                     f"table[{r}][{c}] = {v!r} is not an element index in [0, {n})"
                 )
@@ -158,30 +190,17 @@ def build_group(
 
 def inverse_of(G: FiniteGroup, g: int) -> int:
     """Index of the unique h with g*h = h*g = identity."""
-    G.check_index(g)
-    row = G.table[g]
-    for h in range(G.order):
-        if row[h] == G.identity and G.table[h][g] == G.identity:
-            return h
-    raise MissingInverse(f"element {g} ({G.label(g)!r}) has no inverse")
+    return G.inverses[G.check_index(g)]
 
 
 def element_order(G: FiniteGroup, g: int) -> int:
     """Least m >= 1 with g^m = identity."""
-    G.check_index(g)
-    power, m = g, 1
-    while power != G.identity:
-        power = G.mul(power, g)
-        m += 1
-    return m
+    return G.orders[G.check_index(g)]
 
 
 def structure_flags(G: FiniteGroup) -> StructureFlags:
     """Commutativity, exponent-two, and order, by exhaustive check."""
-    n = G.order
-    commutative = all(G.table[a][b] == G.table[b][a] for a in range(n) for b in range(n))
-    exponent_two = all(G.table[g][g] == G.identity for g in range(n))
-    return StructureFlags(commutative=commutative, exponent_two=exponent_two, order=n)
+    return G.flags
 
 
 def generated_subgroup(G: FiniteGroup, generators: Iterable[int]) -> ElementSubset:

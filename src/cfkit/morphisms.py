@@ -7,14 +7,14 @@ is applied first.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .errors import (
     GroupTooLarge,
     IndexOutOfRange,
+    KindMismatch,
     LengthMismatch,
     NotAutomorphism,
     NotBijective,
@@ -25,10 +25,7 @@ from .groups import (
     MAX_ORDER,
     FiniteGroup,
     build_group,
-    element_order,
-    inverse_of,
     standard_group,
-    structure_flags,
 )
 
 KIND_HOM = "hom"
@@ -38,8 +35,8 @@ KIND_NEITHER = "neither"
 
 # Enumeration is exhaustive, so keep it to desk-scale groups.
 MAX_SYMMETRY_BASE = 16
-# Full identity-fixing scans stay cheap up to 7! candidates.
-_SCAN_LIMIT = 8
+# Groups whose symmetry lists are kept; each list is built and verified once.
+_SYMMETRY_CACHE_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -89,7 +86,7 @@ def classify_map(G: FiniteGroup, H: FiniteGroup, images: Sequence[int]) -> Group
     if len(imgs) != G.order:
         raise LengthMismatch(f"{len(imgs)} images for a group of order {G.order}")
     for v in imgs:
-        if not isinstance(v, int) or not 0 <= v < H.order:
+        if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < H.order:
             raise IndexOutOfRange(f"image {v!r} is not an index in [0, {H.order})")
     hom = _hom_law_holds(G, H, imgs)
     anti = _anti_law_holds(G, H, imgs)
@@ -112,7 +109,7 @@ def identity_map(G: FiniteGroup) -> GroupMap:
 def inversion_map(G: FiniteGroup) -> GroupMap:
     """The map g -> g^-1; an anti-automorphism, and also a homomorphism
     exactly when the group is commutative."""
-    return classify_map(G, G, tuple(inverse_of(G, g) for g in range(G.order)))
+    return classify_map(G, G, G.inverses)
 
 
 def _possible_kinds(outer: str, inner: str) -> frozenset[str] | None:
@@ -134,9 +131,10 @@ def compose_maps(outer: GroupMap, inner: GroupMap) -> GroupMap:
     composed = tuple(outer.images[v] for v in inner.images)
     result = classify_map(inner.source, outer.target, composed)
     expected = _possible_kinds(outer.kind, inner.kind)
-    assert expected is None or result.kind in expected, (
-        f"kind algebra violated: {outer.kind} o {inner.kind} gave {result.kind}"
-    )
+    if expected is not None and result.kind not in expected:
+        raise KindMismatch(
+            f"kind algebra violated: {outer.kind} o {inner.kind} gave {result.kind}"
+        )
     return result
 
 
@@ -148,23 +146,15 @@ def invert_map(f: GroupMap) -> GroupMap:
     for g, v in enumerate(f.images):
         inverse[v] = g
     result = classify_map(f.target, f.source, tuple(inverse))
-    assert result.kind == f.kind, "inverting a map must preserve its kind"
+    if result.kind != f.kind:
+        raise KindMismatch(
+            f"inverting a map must preserve its kind: {f.kind} map has a {result.kind} inverse"
+        )
     return result
 
 
 # ---------------------------------------------------------------------------
 # Exhaustive enumeration.
-
-
-def _identity_fixing_bijections(n: int, e_src: int, e_dst: int) -> Iterator[tuple[int, ...]]:
-    rest_src = [g for g in range(n) if g != e_src]
-    rest_dst = [h for h in range(n) if h != e_dst]
-    for perm in itertools.permutations(rest_dst):
-        images = [0] * n
-        images[e_src] = e_dst
-        for s, d in zip(rest_src, perm):
-            images[s] = d
-        yield tuple(images)
 
 
 def _greedy_generators(G: FiniteGroup) -> list[int]:
@@ -197,8 +187,7 @@ def _bijective_homomorphisms(
     n = G.order
     if n != H.order:
         return []
-    src_orders = [element_order(G, g) for g in range(n)]
-    dst_orders = [element_order(H, h) for h in range(n)]
+    src_orders, dst_orders = G.orders, H.orders
     if sorted(src_orders) != sorted(dst_orders):
         return []
 
@@ -255,20 +244,12 @@ def _bijective_homomorphisms(
     return results
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_SYMMETRY_CACHE_SIZE)
 def _automorphism_images(G: FiniteGroup) -> tuple[tuple[int, ...], ...]:
     if G.order > MAX_SYMMETRY_BASE:
         raise GroupTooLarge(
             f"symmetry enumeration supports orders up to {MAX_SYMMETRY_BASE}, got {G.order}"
         )
-    if G.order <= _SCAN_LIMIT:
-        found = [
-            imgs
-            for imgs in _identity_fixing_bijections(G.order, G.identity, G.identity)
-            if _hom_law_holds(G, G, imgs)
-        ]
-        found.sort()
-        return tuple(found)
     return tuple(_bijective_homomorphisms(G, G))
 
 
@@ -277,17 +258,21 @@ def enumerate_symmetries(G: FiniteGroup, include_anti: bool = True) -> tuple[Gro
 
     On a commutative group the two sets coincide and each map is emitted once
     with kind "both".  Output is sorted lexicographically by image sequence.
+    Each list is built, and each of its maps classified, once per group.
     """
+    return _symmetries(G, bool(include_anti) and not G.flags.commutative)
+
+
+@lru_cache(maxsize=_SYMMETRY_CACHE_SIZE)
+def _symmetries(G: FiniteGroup, with_anti: bool) -> tuple[GroupMap, ...]:
     auto_images = _automorphism_images(G)
-    maps = [classify_map(G, G, imgs) for imgs in auto_images]
-    if include_anti and not structure_flags(G).commutative:
-        # Every anti-automorphism is (automorphism o inversion), so the second
-        # family comes from composing rather than from a second search.
-        inv = tuple(inverse_of(G, g) for g in range(G.order))
-        anti_images = [tuple(imgs[inv[g]] for g in range(G.order)) for imgs in auto_images]
-        maps.extend(classify_map(G, G, imgs) for imgs in anti_images)
-    maps.sort(key=lambda m: m.images)
-    return tuple(maps)
+    if not with_anti:
+        return tuple(classify_map(G, G, imgs) for imgs in auto_images)
+    # Every anti-automorphism is (automorphism o inversion), so the second
+    # family comes from composing rather than from a second search.
+    inv = G.inverses
+    anti = [classify_map(G, G, tuple(imgs[i] for i in inv)) for imgs in auto_images]
+    return tuple(sorted((*_symmetries(G, False), *anti), key=lambda m: m.images))
 
 
 @dataclass(frozen=True)
@@ -311,12 +296,13 @@ def symmetry_group(G: FiniteGroup) -> SymmetryGroup:
     Labels carry each map's kind ("aut" for product-preserving maps, "anti"
     for purely reversing ones) plus the map's position in the sorted list.
     """
-    maps = enumerate_symmetries(G, include_anti=True)
-    if len(maps) > MAX_ORDER:
+    count = len(_automorphism_images(G)) * (1 if G.flags.commutative else 2)
+    if count > MAX_ORDER:
         raise GroupTooLarge(
-            f"{G.name!r} has {len(maps)} symmetries; composition tables are kept "
+            f"{G.name!r} has {count} symmetries; composition tables are kept "
             f"to order {MAX_ORDER}"
         )
+    maps = enumerate_symmetries(G, include_anti=True)
     index = {m.images: i for i, m in enumerate(maps)}
     n = G.order
     table = []
@@ -337,8 +323,7 @@ def symmetry_group(G: FiniteGroup) -> SymmetryGroup:
 def inner_automorphisms(G: FiniteGroup) -> tuple[GroupMap, ...]:
     """Conjugation maps g -> h*g*h^-1, deduplicated and sorted."""
     seen: set[tuple[int, ...]] = set()
-    for h in range(G.order):
-        h_inv = inverse_of(G, h)
+    for h, h_inv in enumerate(G.inverses):
         images = tuple(G.mul(G.mul(h, g), h_inv) for g in range(G.order))
         seen.add(images)
     return tuple(classify_map(G, G, imgs) for imgs in sorted(seen))

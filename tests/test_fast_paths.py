@@ -1,0 +1,258 @@
+"""The precomputed fast paths against slow references written here.
+
+Covered: indexed assignment enumeration, chains read from the variant's
+cached orbit, the group-fact tables behind inverse_of, element_order and
+structure_flags, and the verified-once symmetry cache.  A metamorphic test
+checks that enumeration counts do not depend on how elements are numbered.
+"""
+
+import itertools
+import json
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cfkit import (
+    BUILTIN_VARIANTS,
+    CLASSIC,
+    ROLES,
+    CFVariant,
+    PartialMap,
+    RoleAssignment,
+    RoleTerm,
+    build_group,
+    catalog,
+    classify_map,
+    element_order,
+    enumerate_assignments,
+    enumerate_symmetries,
+    inverse_of,
+    iterate_chain,
+    parse_group_file,
+    render_group_file,
+    rewrite_side,
+    structure_flags,
+)
+
+
+def dihedral_four():
+    # Square symmetries: rotations r0..r3 then reflections s0..s3.
+    def product(i, j):
+        if i < 4 and j < 4:
+            return (i + j) % 4
+        if i < 4:
+            return 4 + (i + j - 4) % 4
+        if j < 4:
+            return 4 + (i - 4 - j) % 4
+        return (i - j) % 4
+
+    labels = [f"r{i}" for i in range(4)] + [f"s{i}" for i in range(4)]
+    return build_group("d4", labels, [[product(i, j) for j in range(8)] for i in range(8)])
+
+
+SMALL = sorted(
+    [G for G in catalog().values() if G.order <= 8] + [dihedral_four()], key=lambda G: G.name
+)
+ALL = list(catalog().values()) + [dihedral_four()]
+
+
+def brute_inverse(G, g):
+    return next(h for h in range(G.order) if G.table[g][h] == G.identity == G.table[h][g])
+
+
+# ---------------------------------------------------------------------------
+# group facts
+
+
+@pytest.mark.parametrize("G", ALL, ids=lambda G: G.name)
+def test_group_facts_match_brute_force(G):
+    n = G.order
+    for g in range(n):
+        assert inverse_of(G, g) == brute_inverse(G, g)
+        power, m = g, 1
+        while power != G.identity:
+            power, m = G.table[power][g], m + 1
+        assert element_order(G, g) == m
+    flags = structure_flags(G)
+    assert flags.order == n
+    assert flags.commutative == all(
+        G.table[a][b] == G.table[b][a] for a in range(n) for b in range(n)
+    )
+    assert flags.exponent_two == all(G.table[g][g] == G.identity for g in range(n))
+
+
+def test_group_facts_stay_out_of_equality_and_repr():
+    G = catalog()["q8"]
+    twin = build_group(G.name, G.elements, G.table)
+    G.inverses, G.orders, G.flags  # populate the cached facts on one copy only
+    assert G == twin and hash(G) == hash(twin) and repr(G) == repr(twin)
+
+
+# ---------------------------------------------------------------------------
+# the symmetry cache
+
+
+@pytest.mark.parametrize("G", SMALL, ids=lambda G: G.name)
+@pytest.mark.parametrize("anti", [True, False])
+def test_cached_symmetries_equal_fresh_classification(G, anti):
+    maps = enumerate_symmetries(G, include_anti=anti)
+    assert enumerate_symmetries(G, include_anti=anti) is maps
+    assert all(classify_map(G, G, m.images) == m for m in maps)
+
+
+# ---------------------------------------------------------------------------
+# indexed assignment enumeration
+
+
+def reference_pairs(inv, variant, values):
+    """The induced (source, target) pairs, or None when two roles disagree."""
+    mapping = {}
+    for role in ROLES:
+        term = variant.rule[role]
+        dst = inv[values[term.role]] if term.inverted else values[term.role]
+        if mapping.setdefault(values[role], dst) != dst:
+            return None
+    return tuple(sorted(mapping.items()))
+
+
+def reference_enumeration(G, variant, maps, pins):
+    """Every assignment, repeats included, with its count of agreeing maps."""
+    inv = [brute_inverse(G, g) for g in range(G.order)]
+    domains = [(pins[role],) if role in pins else range(G.order) for role in ROLES]
+    found = []
+    for combo in itertools.product(*domains):
+        pairs = reference_pairs(inv, variant, dict(zip(ROLES, combo)))
+        if pairs is None:
+            continue
+        partial = PartialMap(G, pairs)
+        count = sum(1 for m in maps if partial.agrees_with(m))
+        if count:
+            found.append((combo, count))
+    return found
+
+
+def enumerated(G, variant, allow_anti, pins, allow_repeats):
+    result = enumerate_assignments(
+        G, variant, allow_anti=allow_anti, constraints=pins, allow_repeats=allow_repeats
+    )
+    return [(tuple(a.values[r] for r in ROLES), count) for a, count in result]
+
+
+@pytest.mark.parametrize("G", SMALL, ids=lambda G: G.name)
+def test_enumeration_matches_filtering_every_symmetry(G):
+    pin = {"x": G.order - 1, "a": G.identity}
+    # The distinct-values answer is the relaxed one restricted to distinct
+    # tuples, and on a commutative group both anti settings give the same
+    # maps, so one reference run serves several cases.
+    references = {}
+    for variant, anti, repeats, pins in itertools.product(
+        BUILTIN_VARIANTS.values(), (True, False), (True, False), ({}, pin)
+    ):
+        maps = enumerate_symmetries(G, include_anti=anti)
+        key = (variant.name, tuple(pins.items()), tuple(m.images for m in maps))
+        if key not in references:
+            references[key] = reference_enumeration(G, variant, maps, pins)
+        want = [(c, n) for c, n in references[key] if repeats or len(set(c)) == len(ROLES)]
+        got = enumerated(G, variant, anti, pins, repeats)
+        assert got == want, (variant.name, anti, repeats, pins)
+
+
+# ---------------------------------------------------------------------------
+# chains
+
+
+def reference_period(start, advance, limit):
+    """Least p >= 1 with state_p = start, found by stepping; None if never."""
+    seen, state = {start}, start
+    for p in range(1, limit + 2):
+        state = advance(state)
+        if state == start:
+            return p
+        if state in seen:
+            return None
+        seen.add(state)
+    return None
+
+
+def reference_chain(variant, steps, G, values):
+    rule = variant.rule
+    identity = tuple(RoleTerm(r) for r in ROLES)
+
+    def advance_subst(subst):
+        return tuple(RoleTerm(rule[t.role].role, rule[t.role].inverted ^ t.inverted) for t in subst)
+
+    def advance_values(vals):
+        by_role = dict(zip(ROLES, vals))
+        out = []
+        for role in ROLES:
+            image = rule[role]
+            v = by_role[image.role]
+            out.append(brute_inverse(G, v) if image.inverted else v)
+        return tuple(out)
+
+    sides, states = [variant.lhs], [tuple(values[r] for r in ROLES)]
+    for _ in range(steps):
+        sides.append(rewrite_side(rule, sides[-1]))
+        states.append(advance_values(states[-1]))
+    symbolic = reference_period(identity, advance_subst, 8**4)
+    element = reference_period(states[0], advance_values, G.order**4)
+    return sides, states, symbolic, element
+
+
+@st.composite
+def custom_variants(draw):
+    rule = {
+        role: RoleTerm(draw(st.sampled_from(ROLES)), draw(st.booleans())) for role in ROLES
+    }
+    lhs = CLASSIC.lhs
+    return CFVariant("custom", lhs, rewrite_side(rule, lhs), rule)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    variant=st.one_of(st.sampled_from(list(BUILTIN_VARIANTS.values())), custom_variants()),
+    G=st.sampled_from(SMALL),
+    steps=st.integers(1, 20),
+    data=st.data(),
+)
+def test_chain_matches_step_by_step_reference(variant, G, steps, data):
+    values = {role: data.draw(st.integers(0, G.order - 1), label=role) for role in ROLES}
+    result = iterate_chain(variant, steps, RoleAssignment(G, values, allow_repeats=True))
+    sides, states, symbolic, element = reference_chain(variant, steps, G, values)
+    assert [s.step for s in result.steps] == list(range(steps + 1))
+    assert [s.side for s in result.steps] == sides
+    assert [s.values for s in result.steps] == states
+    assert result.symbolic_period == symbolic
+    assert result.element_period == element
+    assert iterate_chain(variant, steps).symbolic_period == symbolic
+
+
+# ---------------------------------------------------------------------------
+# relabelling elements
+
+
+def relabelled(G, seed):
+    """G read back from its file form with the element list shuffled."""
+    payload = json.loads(render_group_file(G))
+    order = list(range(G.order))
+    random.Random(seed).shuffle(order)
+    payload["elements"] = [payload["elements"][i] for i in order]
+    payload["table"] = [[payload["table"][i][j] for j in order] for i in order]
+    H = parse_group_file(json.dumps(payload))
+    return H, {g: H.index_of(G.label(g)) for g in range(G.order)}
+
+
+@pytest.mark.parametrize("G", SMALL, ids=lambda G: G.name)
+def test_enumeration_counts_survive_relabelling(G):
+    H, to_h = relabelled(G, G.name)
+    assert len(enumerate_symmetries(H)) == len(enumerate_symmetries(G))
+    for variant in BUILTIN_VARIANTS.values():
+        for repeats in (False, True):
+            before = {
+                tuple(to_h[v] for v in combo): count
+                for combo, count in enumerated(G, variant, True, {}, repeats)
+            }
+            after = dict(enumerated(H, variant, True, {}, repeats))
+            assert after == before, (variant.name, repeats)

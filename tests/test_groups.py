@@ -102,6 +102,20 @@ def test_index_errors():
         q8.index_of("w")
 
 
+def test_build_rejects_bool_entries():
+    # True would otherwise pass as the index 1.
+    with pytest.raises(ClosureViolation):
+        build_group("bool", ["1", "-1"], [[0, True], [True, 0]])
+
+
+def test_check_index_rejects_bool():
+    q8 = standard_group("q8")
+    with pytest.raises(IndexOutOfRange):
+        q8.check_index(True)
+    with pytest.raises(IndexOutOfRange):
+        inverse_of(q8, False)
+
+
 # ---------------------------------------------------------------------------
 # standard constructions
 

@@ -1,6 +1,11 @@
 """Map classification, composition, and symmetry enumeration."""
 
 import itertools
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -33,6 +38,7 @@ from cfkit import (
 
 Q8 = standard_group("q8")
 KLEIN = standard_group("klein")
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def hom_law(G, H, images):
@@ -107,6 +113,11 @@ def test_classify_validates_input():
         classify_map(KLEIN, KLEIN, (0, 1, 2, 9))
 
 
+def test_classify_rejects_bool_images():
+    with pytest.raises(IndexOutOfRange):
+        classify_map(KLEIN, KLEIN, (0, True, 2, 3))
+
+
 def test_classify_neither():
     # Swap 1 and -1: breaks both laws since 1 must be fixed.
     images = (1, 0, 2, 3, 4, 5, 6, 7)
@@ -160,6 +171,29 @@ def test_invert_requires_bijection():
     squash = classify_map(KLEIN, KLEIN, (0, 0, 0, 0))
     with pytest.raises(NotBijective):
         invert_map(squash)
+
+
+def test_kind_checks_survive_optimized_mode():
+    # python -O strips assert statements; the kind checks must still run.
+    script = textwrap.dedent(
+        """
+        from cfkit import GroupMap, KindMismatch, compose_maps, identity_map, invert_map, q8_symmetry
+
+        lam = q8_symmetry("lambda")
+        forged = GroupMap(lam.source, lam.target, lam.images, "hom", True)
+        for attempt in (lambda: compose_maps(forged, identity_map(lam.source)), lambda: invert_map(forged)):
+            try:
+                attempt()
+            except KindMismatch:
+                continue
+            raise SystemExit("no KindMismatch for a map with the wrong kind")
+        """
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -396,6 +430,19 @@ def test_symmetry_group_too_large():
     # 168 automorphisms exceed the composition-table bound.
     with pytest.raises(GroupTooLarge):
         symmetry_group(ea3)
+
+
+def test_symmetry_group_size_checked_before_classifying(monkeypatch):
+    # A fresh copy of ea2-3 so no cached symmetry list is reused.
+    ea3 = standard_group("elementary_abelian_2", 3)
+    fresh = build_group("ea2-3-copy", ea3.elements, ea3.table)
+
+    def refuse(*args):
+        raise AssertionError("symmetry_group classified maps before its size check")
+
+    monkeypatch.setattr("cfkit.morphisms.classify_map", refuse)
+    with pytest.raises(GroupTooLarge, match="168 symmetries"):
+        symmetry_group(fresh)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from typing import Sequence
 
 from . import formula as cf
 from .dsl import parse_formula, parse_group_file, render_formula
-from .errors import InvalidAssignment, ToolkitError, UnknownKind
+from .errors import InvalidAssignment, ToolkitError, UnknownKind, WorkLimitExceeded
 from .groups import (
     FiniteGroup,
     catalog_group,
@@ -39,6 +39,9 @@ from .morphisms import (
 )
 
 _CITED_SYMMETRY_ORDER = "twenty-four"
+
+# cf-orbit builds one step record per step, so longer chains are refused.
+MAX_ORBIT_STEPS = 10**6
 
 
 def _load_group(args: argparse.Namespace) -> FiniteGroup:
@@ -261,6 +264,10 @@ def _cmd_cf_enumerate(args) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_cf_orbit(args) -> tuple[int, dict, list[str]]:
+    if args.steps > MAX_ORBIT_STEPS:
+        raise WorkLimitExceeded(
+            f"--steps {args.steps} is above the bound of {MAX_ORBIT_STEPS} steps"
+        )
     variant = _load_variant(args)
     assignment = None
     if args.assign:
@@ -504,7 +511,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = command("cf-orbit", _cmd_cf_orbit, "iterate a variant's rule symbolically (and on values)")
     _add_group_options(p, required=False)
     _add_variant_options(p)
-    p.add_argument("--steps", type=int, default=6, help="number of rewriting steps")
+    p.add_argument(
+        "--steps", type=int, default=6,
+        help=f"number of rewriting steps (at most {MAX_ORBIT_STEPS})",
+    )
     p.add_argument("--assign", help="optional x=..,y=..,a=..,b=.. to track element values")
     p.add_argument("--allow-repeats", action="store_true", help="relax role-value distinctness")
 

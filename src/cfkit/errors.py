@@ -49,6 +49,10 @@ class GroupTooLarge(ToolkitError):
     """The requested computation exceeds the supported group size."""
 
 
+class WorkLimitExceeded(ToolkitError):
+    """A requested amount of work is above a fixed bound; checked before any of it runs."""
+
+
 class LengthMismatch(ToolkitError):
     """An image sequence does not match the source group's order."""
 

@@ -8,7 +8,6 @@ finite group.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
@@ -230,12 +229,14 @@ class PartialMap:
         return all(m.images[src] == dst for src, dst in self.pairs)
 
 
-def _induced_pairs(G: FiniteGroup, values: tuple[int, ...], variant: CFVariant) -> dict[int, int]:
-    """Source to target for each role's value under the variant's rule.
+def induced_partial_map(assignment: RoleAssignment, variant: CFVariant) -> PartialMap:
+    """The transformation each role's value undergoes under the variant's rule.
 
-    values follow ROLES.  Roles that share a value must send it to the same
-    element; otherwise ConflictingPairs names the first two that disagree.
+    Roles that share a value must send it to the same element; otherwise
+    ConflictingPairs names the first two that disagree.
     """
+    G = assignment.group
+    values = tuple(assignment.values[role] for role in ROLES)
     mapping: dict[int, int] = {}
     targets = variant._rule_pick(_with_inverses(G, values))
     for role, src, dst in zip(ROLES, values, targets):
@@ -244,14 +245,7 @@ def _induced_pairs(G: FiniteGroup, values: tuple[int, ...], variant: CFVariant) 
                 f"roles {ROLES[values.index(src)]!r} and {role!r} share element "
                 f"{G.label(src)!r} but are sent to {G.label(mapping[src])!r} and {G.label(dst)!r}"
             )
-    return mapping
-
-
-def induced_partial_map(assignment: RoleAssignment, variant: CFVariant) -> PartialMap:
-    """The transformation each role's value undergoes under the variant's rule."""
-    values = tuple(assignment.values[role] for role in ROLES)
-    mapping = _induced_pairs(assignment.group, values, variant)
-    return PartialMap(assignment.group, tuple(sorted(mapping.items())))
+    return PartialMap(G, tuple(sorted(mapping.items())))
 
 
 def realizations(
@@ -284,29 +278,49 @@ def enumerate_assignments(
     if not allow_repeats and len(set(pins.values())) != len(pins):
         raise UnsatisfiableConstraint("pinned roles collide but values must be distinct")
 
-    # Positions of the symmetries by (element, image) pair: the maps that
-    # realize an assignment are those in the buckets of all its pairs.
-    by_pair: dict[tuple[int, int], set[int]] = {}
-    for i, m in enumerate(enumerate_symmetries(G, include_anti=allow_anti)):
-        for pair in enumerate(m.images):
-            by_pair.setdefault(pair, set()).add(i)
-    nowhere: set[int] = set()
+    # f realizes values v when f(v[i]) = g_i(v[succ[i]]) for every role i,
+    # where rule[ROLES[i]] is the term g_i(ROLES[succ[i]]).  Each g_i is the
+    # identity or inversion, both involutions, so choosing v[i] fixes
+    # v[succ[i]] = g_i(f(v[i])).  Per symmetry, a depth-first walk gives
+    # each unset role its domain values and follows succ from each choice
+    # until it meets a set role, whose value must agree.  Pins and
+    # distinctness are checked at every placement.  No map realizes an
+    # assignment whose induced pairs conflict, so the walk never yields one.
+    inv = G.inverses
+    succ = tuple(ROLES.index(variant.rule[role].role) for role in ROLES)
+    flip = tuple(variant.rule[role].inverted for role in ROLES)
+    domains = tuple((pins[role],) if role in pins else range(G.order) for role in ROLES)
+    values: list[Optional[int]] = [None] * len(ROLES)
+    counts: dict[tuple[int, ...], int] = {}
 
-    domains = [(pins[role],) if role in pins else tuple(range(G.order)) for role in ROLES]
-    results: list[tuple[RoleAssignment, int]] = []
-    for combo in itertools.product(*domains):
-        if not allow_repeats and len(set(combo)) != len(ROLES):
-            continue
-        try:
-            pairs = _induced_pairs(G, combo, variant)
-        except ConflictingPairs:
-            continue
-        count = len(set.intersection(*(by_pair.get(pair, nowhere) for pair in pairs.items())))
-        if count:
-            results.append(
-                (RoleAssignment(G, dict(zip(ROLES, combo)), allow_repeats=allow_repeats), count)
-            )
-    return tuple(results)
+    def walk(images: tuple[int, ...], k: int) -> None:
+        while k < len(ROLES) and values[k] is not None:
+            k += 1
+        if k == len(ROLES):
+            key = tuple(values)
+            counts[key] = counts.get(key, 0) + 1
+            return
+        for choice in domains[k]:
+            v, i, placed = choice, k, []
+            while values[i] is None:
+                if v not in domains[i] or (not allow_repeats and v in values):
+                    break
+                values[i] = v
+                placed.append(i)
+                v = inv[images[v]] if flip[i] else images[v]
+                i = succ[i]
+            else:
+                if values[i] == v:
+                    walk(images, k + 1)
+            for i in placed:
+                values[i] = None
+
+    for m in enumerate_symmetries(G, include_anti=allow_anti):
+        walk(m.images, 0)
+    return tuple(
+        (RoleAssignment(G, dict(zip(ROLES, combo)), allow_repeats=allow_repeats), counts[combo])
+        for combo in sorted(counts)
+    )
 
 
 # ---------------------------------------------------------------------------

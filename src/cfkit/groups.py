@@ -285,28 +285,30 @@ def _ea2_label(mask: int) -> str:
     return "".join(_EA2_LETTERS[b] for b in range(mask.bit_length()) if mask >> b & 1)
 
 
+# Catalog name to the standard_group arguments that build it.
+_CATALOG: dict[str, tuple] = {
+    "q8": ("q8",),
+    "klein": ("klein",),
+    "sign": ("sign",),
+    **{f"c{m}": ("cyclic", m) for m in range(2, 17)},
+    **{f"ea2-{k}": ("elementary_abelian_2", k) for k in range(1, 5)},
+}
+
+
 @lru_cache(maxsize=None)
 def catalog() -> dict[str, FiniteGroup]:
     """Groups addressable by name: q8, klein, sign, c2..c16, ea2-1..ea2-4."""
-    groups: dict[str, FiniteGroup] = {
-        "q8": standard_group("q8"),
-        "klein": standard_group("klein"),
-        "sign": standard_group("sign"),
-    }
-    for m in range(2, 17):
-        groups[f"c{m}"] = standard_group("cyclic", m)
-    for k in range(1, 5):
-        groups[f"ea2-{k}"] = standard_group("elementary_abelian_2", k)
-    return groups
+    return {name: standard_group(*args) for name, args in _CATALOG.items()}
 
 
 def catalog_group(name: str) -> FiniteGroup:
-    """Look up a built-in group by its catalog name."""
+    """Look up a built-in group by its catalog name, building only that group."""
     try:
-        return catalog()[name]
+        args = _CATALOG[name]
     except KeyError:
-        known = ", ".join(sorted(catalog()))
+        known = ", ".join(sorted(_CATALOG))
         raise UnknownKind(f"unknown group name {name!r} (known: {known})") from None
+    return standard_group(*args)
 
 
 # ---------------------------------------------------------------------------

@@ -104,6 +104,25 @@ def test_zero_steps_is_exit_two(capsys):
     assert "steps" in err
 
 
+def test_too_many_steps_is_exit_two_before_any_chain(capsys, monkeypatch):
+    import cfkit.formula
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("iterate_chain must not run")
+
+    monkeypatch.setattr(cfkit.formula, "iterate_chain", refuse)
+    code, out, err = run(capsys, "cf-orbit", "--variant", "classic", "--steps", "1000001")
+    assert code == 2 and out == ""
+    assert "1000001" in err and "1000000" in err
+
+    def reached(variant, steps, assignment=None):
+        raise ValueError(f"chain of {steps} steps requested")
+
+    monkeypatch.setattr(cfkit.formula, "iterate_chain", reached)
+    code, _, err = run(capsys, "cf-orbit", "--variant", "classic", "--steps", "1000000")
+    assert code == 2 and "chain of 1000000 steps requested" in err
+
+
 def test_fraction_rule_sweep_ok(capsys):
     code, out, _ = run(capsys, "fraction-rule", "--group", "c6")
     assert code == 0

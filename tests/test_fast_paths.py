@@ -1,9 +1,11 @@
 """The precomputed fast paths against slow references written here.
 
-Covered: indexed assignment enumeration, chains read from the variant's
+Covered: assignment enumeration by solving the rule per symmetry, for the
+built-in variants and for custom rules, chains read from the variant's
 cached orbit, the group-fact tables behind inverse_of, element_order and
-structure_flags, and the verified-once symmetry cache.  A metamorphic test
-checks that enumeration counts do not depend on how elements are numbered.
+structure_flags, and the verified-once symmetry cache.  Metamorphic tests
+check that enumeration counts do not depend on how elements are numbered,
+and do not change when every role value is moved by an automorphism.
 """
 
 import itertools
@@ -11,7 +13,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cfkit import (
@@ -22,6 +24,7 @@ from cfkit import (
     PartialMap,
     RoleAssignment,
     RoleTerm,
+    UnsatisfiableConstraint,
     build_group,
     catalog,
     classify_map,
@@ -159,6 +162,79 @@ def test_enumeration_matches_filtering_every_symmetry(G):
         assert got == want, (variant.name, anti, repeats, pins)
 
 
+def custom_variant(rule):
+    return CFVariant("custom", CLASSIC.lhs, rewrite_side(rule, CLASSIC.lhs), rule)
+
+
+@st.composite
+def custom_variants(draw):
+    return custom_variant(
+        {role: RoleTerm(draw(st.sampled_from(ROLES)), draw(st.booleans())) for role in ROLES}
+    )
+
+
+# Rules that do not permute the roles, or send a role to its own inverse.
+x_to_y = custom_variant(
+    {"x": RoleTerm("y"), "y": RoleTerm("y"), "a": RoleTerm("a"), "b": RoleTerm("b")}
+)
+inverted_self_loops = custom_variant(
+    {
+        "x": RoleTerm("x", True),
+        "y": RoleTerm("y", True),
+        "a": RoleTerm("b"),
+        "b": RoleTerm("a", True),
+    }
+)
+all_to_x = custom_variant(
+    {"x": RoleTerm("x"), "y": RoleTerm("x", True), "a": RoleTerm("x"), "b": RoleTerm("x", True)}
+)
+
+
+@pytest.mark.parametrize("G", SMALL, ids=lambda G: G.name)
+@settings(max_examples=4, deadline=None)
+@given(
+    variant=custom_variants(),
+    drawn=st.dictionaries(st.sampled_from(ROLES), st.integers(0, 7), max_size=3),
+)
+@example(variant=x_to_y, drawn={})
+@example(variant=x_to_y, drawn={"y": 1})
+@example(variant=inverted_self_loops, drawn={"a": 1})
+@example(variant=all_to_x, drawn={"x": 1})
+def test_enumeration_matches_filtering_for_custom_rules(G, variant, drawn):
+    pins = {role: value % G.order for role, value in drawn.items()}
+    references = {}
+    for anti, repeats in itertools.product((True, False), (True, False)):
+        if not repeats and len(set(pins.values())) != len(pins):
+            with pytest.raises(UnsatisfiableConstraint):
+                enumerated(G, variant, anti, pins, repeats)
+            continue
+        maps = enumerate_symmetries(G, include_anti=anti)
+        key = tuple(m.images for m in maps)
+        if key not in references:
+            references[key] = reference_enumeration(G, variant, maps, pins)
+        want = [(c, n) for c, n in references[key] if repeats or len(set(c)) == len(ROLES)]
+        assert enumerated(G, variant, anti, pins, repeats) == want, (variant.rule, anti, repeats)
+
+
+@pytest.mark.parametrize("G", SMALL, ids=lambda G: G.name)
+def test_enumeration_is_invariant_under_automorphisms(G):
+    # An automorphism phi commutes with inversion, and f -> phi f phi^-1 is a
+    # kind-preserving bijection of the symmetries, so moving every role value
+    # by phi keeps each assignment's realization count.
+    n, t = G.order, G.table
+    automorphisms = [m.images for m in enumerate_symmetries(G, include_anti=False)]
+    for phi in automorphisms:
+        assert all(phi[t[a][b]] == t[phi[a]][phi[b]] for a in range(n) for b in range(n))
+    # On a commutative group both anti settings give the same maps.
+    antis = (True,) if structure_flags(G).commutative else (True, False)
+    for variant in (*BUILTIN_VARIANTS.values(), x_to_y, inverted_self_loops):
+        for anti, repeats in itertools.product(antis, (True, False)):
+            found = dict(enumerated(G, variant, anti, {}, repeats))
+            for phi in automorphisms:
+                moved = {tuple(phi[v] for v in combo): count for combo, count in found.items()}
+                assert moved == found, (variant.rule, anti, repeats, phi)
+
+
 # ---------------------------------------------------------------------------
 # chains
 
@@ -199,15 +275,6 @@ def reference_chain(variant, steps, G, values):
     symbolic = reference_period(identity, advance_subst, 8**4)
     element = reference_period(states[0], advance_values, G.order**4)
     return sides, states, symbolic, element
-
-
-@st.composite
-def custom_variants(draw):
-    rule = {
-        role: RoleTerm(draw(st.sampled_from(ROLES)), draw(st.booleans())) for role in ROLES
-    }
-    lhs = CLASSIC.lhs
-    return CFVariant("custom", lhs, rewrite_side(rule, lhs), rule)
 
 
 @settings(max_examples=300, deadline=None)

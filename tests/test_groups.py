@@ -1,6 +1,10 @@
 """Group construction, validation, and the standard catalog."""
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -183,6 +187,37 @@ def test_catalog_names():
     names = set(catalog())
     assert {"q8", "klein", "sign", "c2", "c16", "ea2-1", "ea2-4"} <= names
     assert len(names) == 3 + 15 + 4
+
+
+def test_catalog_group_is_the_catalog_entry():
+    for name, G in catalog().items():
+        assert catalog_group(name) is G
+    assert catalog_group("q8") is catalog()["q8"] is standard_group("q8")
+    assert list(catalog())[:4] == ["q8", "klein", "sign", "c2"]
+
+
+def test_catalog_group_unknown_name_message():
+    with pytest.raises(UnknownKind) as exc:
+        catalog_group("d4")
+    assert str(exc.value) == (
+        "unknown group name 'd4' (known: c10, c11, c12, c13, c14, c15, c16, c2, c3, c4, "
+        "c5, c6, c7, c8, c9, ea2-1, ea2-2, ea2-3, ea2-4, klein, q8, sign)"
+    )
+
+
+def test_catalog_group_builds_only_the_named_group():
+    # A fresh interpreter, so no other test has filled the cache yet.
+    probe = (
+        "from cfkit.groups import catalog_group, standard_group\n"
+        "catalog_group('c5')\n"
+        "print(standard_group.cache_info().currsize)"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "1"
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import cycle, islice
 from operator import itemgetter
 from typing import Callable, Mapping, NamedTuple, Optional
 
@@ -25,6 +26,7 @@ from .groups import FiniteGroup
 from .morphisms import GroupMap, enumerate_symmetries
 
 ROLES = ("x", "y", "a", "b")
+_ROLE_SET = frozenset(ROLES)
 
 
 @dataclass(frozen=True)
@@ -183,12 +185,18 @@ class RoleAssignment:
     allow_repeats: bool = False
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", dict(self.values))
-        if set(self.values) != set(ROLES):
+        values = dict(self.values)
+        object.__setattr__(self, "values", values)
+        if values.keys() != _ROLE_SET:
             raise InvalidAssignment(f"assignment must cover exactly the roles {ROLES}")
+        # check_index decides, and words, every rejection; plain in-range ints
+        # skip the call.
+        n = self.group.order
         for role in ROLES:
-            self.group.check_index(self.values[role])
-        if not self.allow_repeats and len(set(self.values.values())) != len(ROLES):
+            v = values[role]
+            if type(v) is not int or not 0 <= v < n:
+                self.group.check_index(v)
+        if not self.allow_repeats and len(set(values.values())) != len(ROLES):
             raise InvalidAssignment(
                 "role values must be pairwise distinct (set allow_repeats to relax)"
             )
@@ -327,8 +335,7 @@ def enumerate_assignments(
 # Chains: repeated application of a variant's rule.
 
 
-@dataclass(frozen=True)
-class ChainStep:
+class ChainStep(NamedTuple):
     """One state of the chain; values follow the role order x, y, a, b."""
 
     step: int
@@ -353,26 +360,37 @@ def iterate_chain(
     also carries the concrete (x, y, a, b) element values, and the least
     period of that value sequence is reported alongside the symbolic one.
     """
-    if steps < 1:
+    if not isinstance(steps, int) or isinstance(steps, bool) or steps < 1:
         raise ValueError("steps must be >= 1")
     sides, picks, start = variant._orbit
     length = len(sides)
-
-    def at(t: int) -> int:
-        return t if t < length else start + (t - start) % (length - start)
+    # Step t is orbit state t up to `length`, then cycles through the states
+    # from `start` on.
+    positions = list(range(min(steps + 1, length)))
+    positions.extend(islice(cycle(range(start, length)), steps + 1 - len(positions)))
 
     # The values at a step are a function of its substitution, so they repeat
-    # with it: if step 0's values ever recur, they do so by step `length`.
+    # with it: if step 0's values ever recur, they do so by step `length`,
+    # whose state is `start`.
     values: list[Optional[tuple[int, int, int, int]]] = [None] * length
     element_period = None
     if assignment is not None:
         initial = tuple(assignment.values[role] for role in ROLES)
         both = _with_inverses(assignment.group, initial)
         values = [pick(both) for pick in picks]
+        first = values[0]
         element_period = next(
-            (t for t in range(1, length + 1) if values[at(t)] == values[0]), None
+            (t for t in range(1, length) if values[t] == first),
+            length if values[start] == first else None,
         )
-    chain = tuple(ChainStep(t, sides[at(t)], values[at(t)]) for t in range(steps + 1))
+    chain = tuple(
+        map(
+            ChainStep,
+            range(steps + 1),
+            map(sides.__getitem__, positions),
+            map(values.__getitem__, positions),
+        )
+    )
     symbolic_period = length if start == 0 else None
     return ChainResult(chain, symbolic_period, element_period, assignment)
 
@@ -387,7 +405,7 @@ def verify_fraction_rule(G: FiniteGroup, assignment: RoleAssignment) -> bool:
     This is the fraction identity (x/a)/(y/b) = (x/y)/(b^-1/a^-1) read with
     ratios in G; it only makes sense when G is commutative.
     """
-    if assignment.group != G:
+    if assignment.group is not G and assignment.group != G:
         raise InvalidAssignment("assignment belongs to a different group")
     if not G.flags.commutative:
         raise NonCommutativeGroup(

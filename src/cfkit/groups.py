@@ -249,9 +249,14 @@ def _q8_product(a: int, b: int) -> int:
     return 2 * (sa ^ sb) + (na ^ nb ^ extra)
 
 
-@lru_cache(maxsize=None)
 def standard_group(kind: str, n: int | None = None) -> FiniteGroup:
     """One of the built-in groups: sign, klein, q8, cyclic(n), elementary_abelian_2(k)."""
+    return _standard_group(kind, n)
+
+
+# Every call form reaches the cache as (kind, n), so each group is built once.
+@lru_cache(maxsize=None)
+def _standard_group(kind: str, n: int | None) -> FiniteGroup:
     if kind == "sign":
         return build_group("sign", ("1", "-1"), ((0, 1), (1, 0)), 0)
     if kind == "klein":
@@ -277,6 +282,10 @@ def standard_group(kind: str, n: int | None = None) -> FiniteGroup:
         table = tuple(tuple(r ^ c for c in range(size)) for r in range(size))
         return build_group(f"ea2-{n}", labels, table, 0)
     raise UnknownKind(f"unknown standard group kind {kind!r}")
+
+
+standard_group.cache_info = _standard_group.cache_info
+standard_group.cache_clear = _standard_group.cache_clear
 
 
 def _ea2_label(mask: int) -> str:

@@ -21,6 +21,7 @@ from cfkit import (
     CLASSIC,
     ROLES,
     CFVariant,
+    ChainStep,
     PartialMap,
     RoleAssignment,
     RoleTerm,
@@ -294,6 +295,55 @@ def test_chain_matches_step_by_step_reference(variant, G, steps, data):
     assert result.symbolic_period == symbolic
     assert result.element_period == element
     assert iterate_chain(variant, steps).symbolic_period == symbolic
+
+
+def test_chain_step_record_contract():
+    assert ChainStep._fields == ("step", "side", "values")
+    assert ChainStep(0, CLASSIC.lhs).values is None
+    assignment = RoleAssignment(SMALL[0], dict.fromkeys(ROLES, 0), allow_repeats=True)
+    result = iterate_chain(CLASSIC, 3, assignment)
+    assert type(result.steps) is tuple
+    step = result.steps[1]
+    with pytest.raises(AttributeError):
+        step.values = None
+    with pytest.raises(AttributeError):
+        step.extra = 1
+    twin = ChainStep(step.step, step.side, step.values)
+    assert twin == step and hash(twin) == hash(step)
+    assert twin != ChainStep(step.step + 1, step.side, step.values)
+    assert repr(step) == f"ChainStep(step=1, side={step.side!r}, values={step.values!r})"
+    assert repr(step).startswith("ChainStep(step=1, side=FormulaSide(first=(RoleTerm(")
+
+
+raw_role_values = st.tuples(*[st.integers(0, 63)] * len(ROLES))
+
+
+def check_chain_past_orbit(variant, G, raw):
+    # Three full orbit lengths and one step more: every step past the first
+    # pass is read from the cycle.
+    steps = 3 * len(variant._orbit.sides) + 1
+    values = {role: v % G.order for role, v in zip(ROLES, raw)}
+    result = iterate_chain(variant, steps, RoleAssignment(G, values, allow_repeats=True))
+    sides, states, symbolic, element = reference_chain(variant, steps, G, values)
+    assert [s.side for s in result.steps] == sides
+    assert [s.values for s in result.steps] == states
+    assert (result.symbolic_period, result.element_period) == (symbolic, element)
+
+
+@pytest.mark.parametrize("variant", list(BUILTIN_VARIANTS.values()), ids=lambda v: v.name)
+@settings(max_examples=10, deadline=None)
+@given(G=st.sampled_from(SMALL), raw=raw_role_values)
+def test_builtin_chain_past_its_orbit_matches_reference(variant, G, raw):
+    check_chain_past_orbit(variant, G, raw)
+
+
+@settings(max_examples=20, deadline=None)
+@given(variant=custom_variants(), G=st.sampled_from(SMALL), raw=raw_role_values)
+@example(variant=x_to_y, G=SMALL[-1], raw=(1, 2, 3, 5))
+@example(variant=inverted_self_loops, G=SMALL[-1], raw=(1, 2, 3, 5))
+@example(variant=all_to_x, G=SMALL[-1], raw=(1, 2, 3, 5))
+def test_custom_chain_past_its_orbit_matches_reference(variant, G, raw):
+    check_chain_past_orbit(variant, G, raw)
 
 
 # ---------------------------------------------------------------------------

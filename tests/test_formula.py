@@ -347,6 +347,13 @@ def test_chain_rejects_zero_steps():
         iterate_chain(CLASSIC, 0)
 
 
+@pytest.mark.parametrize("steps", [True, False, 2.0, "3", None])
+def test_chain_rejects_non_int_steps(steps):
+    # Checked before the variant or the assignment is read.
+    with pytest.raises(ValueError, match="steps must be >= 1"):
+        iterate_chain(None, steps, CLASSIC_Q8)
+
+
 def test_nonreturning_rule_reports_no_period():
     # x and a collapse onto y; the identity substitution never recurs.
     rule = {

@@ -220,6 +220,13 @@ def test_catalog_group_builds_only_the_named_group():
     assert out.stdout.strip() == "1"
 
 
+def test_standard_group_caches_one_group_per_kind_and_order():
+    assert standard_group("q8") is standard_group("q8", None) is standard_group(kind="q8")
+    c4 = standard_group("cyclic", 4)
+    assert c4 is standard_group("cyclic", n=4) is standard_group(kind="cyclic", n=4)
+    assert standard_group("cyclic", 5) is not c4
+
+
 # ---------------------------------------------------------------------------
 # element-level operations
 

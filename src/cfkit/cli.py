@@ -12,7 +12,6 @@ import argparse
 import itertools
 import json
 import sys
-from pathlib import Path
 from typing import Sequence
 
 from . import formula as cf
@@ -46,7 +45,9 @@ MAX_ORBIT_STEPS = 10**6
 
 def _load_group(args: argparse.Namespace) -> FiniteGroup:
     if getattr(args, "file", None):
-        return parse_group_file(Path(args.file).read_text(encoding="utf-8"))
+        with open(args.file, encoding="utf-8") as fh:
+            text = fh.read()
+        return parse_group_file(text)
     return catalog_group(args.group)
 
 

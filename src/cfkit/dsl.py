@@ -13,7 +13,6 @@ inversion syntax.
 from __future__ import annotations
 
 import json
-from importlib.resources import files
 
 from .errors import DuplicateLabel, InconsistentRule, ParseError
 from .formula import BUILTIN_VARIANTS, CFVariant, FormulaSide, ROLES, RoleTerm
@@ -188,4 +187,8 @@ def render_group_file(G: FiniteGroup) -> str:
 
 def load_builtin_group_file(name: str) -> str:
     """Text of a group file shipped with the package (e.g. "q8")."""
+    # Imported here: importlib.resources is costly to import, and no other
+    # command needs it.
+    from importlib.resources import files
+
     return files("cfkit").joinpath(f"data/{name}.json").read_text(encoding="utf-8")

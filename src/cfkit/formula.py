@@ -8,12 +8,12 @@ finite group.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import cycle, islice
 from operator import itemgetter
 from typing import Callable, Mapping, NamedTuple, Optional
 
+from ._record import frozen
 from .errors import (
     ConflictingPairs,
     InconsistentRule,
@@ -29,7 +29,7 @@ ROLES = ("x", "y", "a", "b")
 _ROLE_SET = frozenset(ROLES)
 
 
-@dataclass(frozen=True)
+@frozen
 class RoleTerm:
     """One of the roles x, y, a, b, optionally marked as inverted."""
 
@@ -44,7 +44,7 @@ class RoleTerm:
         return self.role + ("^-1" if self.inverted else "")
 
 
-@dataclass(frozen=True)
+@frozen
 class FormulaSide:
     """The pair F_first[0](first[1]) : F_second[0](second[1])."""
 
@@ -105,7 +105,7 @@ class _SymbolicOrbit(NamedTuple):
     cycle_start: int
 
 
-@dataclass(frozen=True)
+@frozen
 class CFVariant:
     """A formula schema: left side, right side, and the substitution between them."""
 
@@ -173,7 +173,7 @@ def variant_by_name(name: str) -> CFVariant:
 # Assignments and induced transformations.
 
 
-@dataclass(frozen=True)
+@frozen
 class RoleAssignment:
     """Element values for the four roles.
 
@@ -211,7 +211,7 @@ def evaluate_role_term(assignment: RoleAssignment, term: RoleTerm) -> int:
     return assignment.group.inverses[value] if term.inverted else value
 
 
-@dataclass(frozen=True)
+@frozen
 class PartialMap:
     """A functional set of (source, target) pairs on part of a group."""
 
@@ -343,7 +343,7 @@ class ChainStep(NamedTuple):
     values: Optional[tuple[int, int, int, int]] = None
 
 
-@dataclass(frozen=True)
+@frozen
 class ChainResult:
     steps: tuple[ChainStep, ...]
     symbolic_period: Optional[int]

@@ -6,10 +6,10 @@ runs on indices and labels appear only at I/O boundaries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
+from ._record import frozen
 from .errors import (
     ClosureViolation,
     DuplicateLabel,
@@ -27,7 +27,7 @@ from .errors import (
 MAX_ORDER = 64
 
 
-@dataclass(frozen=True)
+@frozen
 class FiniteGroup:
     """Immutable group data: element labels and an index-valued product table.
 
@@ -94,7 +94,7 @@ class FiniteGroup:
         return g
 
 
-@dataclass(frozen=True)
+@frozen
 class StructureFlags:
     """Cheap global facts about a group."""
 
@@ -103,7 +103,7 @@ class StructureFlags:
     order: int
 
 
-@dataclass(frozen=True)
+@frozen
 class ElementSubset:
     """A subset of a group's elements, kept as indices."""
 
@@ -153,8 +153,10 @@ def build_group(
                     f"table[{r}][{c}] = {v!r} is not an element index in [0, {n})"
                 )
 
-    if identity is not None and not 0 <= identity < n:
-        raise IndexOutOfRange(f"claimed identity {identity} outside [0, {n})")
+    if identity is not None and (
+        not isinstance(identity, int) or isinstance(identity, bool) or not 0 <= identity < n
+    ):
+        raise IndexOutOfRange(f"claimed identity {identity!r} outside [0, {n})")
     found = None
     for e in range(n):
         if all(rows[e][g] == g and rows[g][e] == g for g in range(n)):
@@ -249,8 +251,24 @@ def _q8_product(a: int, b: int) -> int:
     return 2 * (sa ^ sb) + (na ^ nb ^ extra)
 
 
+# Kinds that take a size, with its least value and the message for a bad one.
+_SIZED_KINDS = {
+    "cyclic": (1, "cyclic groups need an order n >= 1"),
+    "elementary_abelian_2": (0, "elementary abelian 2-groups need a rank k >= 0"),
+}
+
+
 def standard_group(kind: str, n: int | None = None) -> FiniteGroup:
     """One of the built-in groups: sign, klein, q8, cyclic(n), elementary_abelian_2(k)."""
+    # Checked before the cache lookup: True == 1 and 4.0 == 4 would otherwise
+    # share a cache entry with a group built from the wrong value.
+    if kind in _SIZED_KINDS:
+        least, message = _SIZED_KINDS[kind]
+        if not isinstance(n, int) or isinstance(n, bool) or n < least:
+            raise ValueError(message)
+        n = int(n)
+    else:
+        n = None
     return _standard_group(kind, n)
 
 
@@ -266,15 +284,11 @@ def _standard_group(kind: str, n: int | None) -> FiniteGroup:
         table = tuple(tuple(_q8_product(r, c) for c in range(8)) for r in range(8))
         return build_group("q8", _Q8_LABELS, table, 0)
     if kind == "cyclic":
-        if n is None or n < 1:
-            raise ValueError("cyclic groups need an order n >= 1")
         if n > MAX_ORDER:
             raise GroupTooLarge(f"cyclic order {n} exceeds the supported bound {MAX_ORDER}")
         table = tuple(tuple((r + c) % n for c in range(n)) for r in range(n))
         return build_group(f"c{n}", tuple(str(r) for r in range(n)), table, 0)
     if kind == "elementary_abelian_2":
-        if n is None or n < 0:
-            raise ValueError("elementary abelian 2-groups need a rank k >= 0")
         if 2**n > MAX_ORDER:
             raise GroupTooLarge(f"rank {n} gives order {2 ** n} above the bound {MAX_ORDER}")
         size = 2**n
@@ -324,7 +338,7 @@ def catalog_group(name: str) -> FiniteGroup:
 # The four formal substitutions x -> x, -x, 1/x, -1/x under composition.
 
 
-@dataclass(frozen=True)
+@frozen
 class FractionTransformation:
     """Formal substitution sending x to (+-)x or (+-)1/x."""
 
@@ -345,7 +359,7 @@ class FractionTransformation:
         return f"x -> {self.formula}"
 
 
-@dataclass(frozen=True)
+@frozen
 class FractionTransformationGroup:
     """The composition group of the four fraction transformations."""
 

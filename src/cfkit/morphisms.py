@@ -7,10 +7,10 @@ is applied first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
+from ._record import frozen
 from .errors import (
     GroupTooLarge,
     IndexOutOfRange,
@@ -39,7 +39,7 @@ MAX_SYMMETRY_BASE = 16
 _SYMMETRY_CACHE_SIZE = 64
 
 
-@dataclass(frozen=True)
+@frozen
 class GroupMap:
     """A map between groups given by images, with its law classification."""
 
@@ -275,7 +275,7 @@ def _symmetries(G: FiniteGroup, with_anti: bool) -> tuple[GroupMap, ...]:
     return tuple(sorted((*_symmetries(G, False), *anti), key=lambda m: m.images))
 
 
-@dataclass(frozen=True)
+@frozen
 class SymmetryGroup:
     """All (anti-)automorphisms of a base group, closed under composition."""
 

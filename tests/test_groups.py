@@ -1,5 +1,6 @@
 """Group construction, validation, and the standard catalog."""
 
+import enum
 import itertools
 import os
 import subprocess
@@ -70,6 +71,13 @@ def test_build_rejects_wrong_identity_claim():
     klein = standard_group("klein")
     with pytest.raises(WrongIdentity):
         build_group("klein", klein.elements, klein.table, identity=1)
+
+
+@pytest.mark.parametrize("identity", ["0", 1.0, True, False, 2, -1])
+def test_build_rejects_a_claimed_identity_that_is_not_an_index(identity):
+    with pytest.raises(IndexOutOfRange) as exc:
+        build_group("c2", ["e", "g"], [[0, 1], [1, 0]], identity=identity)
+    assert str(exc.value) == f"claimed identity {identity!r} outside [0, 2)"
 
 
 def test_build_rejects_missing_inverse():
@@ -225,6 +233,37 @@ def test_standard_group_caches_one_group_per_kind_and_order():
     c4 = standard_group("cyclic", 4)
     assert c4 is standard_group("cyclic", n=4) is standard_group(kind="cyclic", n=4)
     assert standard_group("cyclic", 5) is not c4
+
+
+@pytest.mark.parametrize(
+    "kind, n, message",
+    [
+        ("cyclic", True, "cyclic groups need an order n >= 1"),
+        ("cyclic", "4", "cyclic groups need an order n >= 1"),
+        ("cyclic", 4.0, "cyclic groups need an order n >= 1"),
+        ("cyclic", None, "cyclic groups need an order n >= 1"),
+        ("elementary_abelian_2", False, "elementary abelian 2-groups need a rank k >= 0"),
+        ("elementary_abelian_2", True, "elementary abelian 2-groups need a rank k >= 0"),
+        ("elementary_abelian_2", 1.0, "elementary abelian 2-groups need a rank k >= 0"),
+    ],
+)
+def test_standard_group_rejects_a_size_that_is_not_an_int(kind, n, message):
+    with pytest.raises(ValueError) as exc:
+        standard_group(kind, n)
+    assert str(exc.value) == message
+    # The rejected call must not leave a cache entry that True == 1 would hit.
+    assert standard_group("cyclic", 1).name == "c1"
+    assert standard_group("elementary_abelian_2", 0).name == "ea2-0"
+    assert standard_group("elementary_abelian_2", 1).name == "ea2-1"
+
+
+def test_standard_group_normalises_its_cache_key():
+    class Size(enum.IntEnum):
+        FOUR = 4
+
+    assert standard_group("cyclic", Size.FOUR) is standard_group("cyclic", 4)
+    assert standard_group("cyclic", 4).name == "c4"
+    assert standard_group("q8", 3) is standard_group("q8")
 
 
 # ---------------------------------------------------------------------------

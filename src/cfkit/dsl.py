@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 
-from .errors import DuplicateLabel, InconsistentRule, ParseError
+from .errors import InconsistentRule, ParseError
 from .formula import BUILTIN_VARIANTS, CFVariant, FormulaSide, ROLES, RoleTerm
 from .groups import FiniteGroup, build_group
 
@@ -142,11 +142,8 @@ def parse_group_file(text: str) -> FiniteGroup:
     labels = payload["elements"]
     if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
         raise ParseError("must be an array of strings", field="elements")
-    index: dict[str, int] = {}
-    for i, label in enumerate(labels):
-        if label in index:
-            raise DuplicateLabel(f"label {label!r} used for elements {index[label]} and {i}")
-        index[label] = i
+    # A repeated label is left for build_group to reject (DuplicateLabel).
+    index = {label: i for i, label in enumerate(labels)}
 
     identity = payload["identity"]
     if not isinstance(identity, str) or identity not in index:

@@ -289,8 +289,9 @@ def _standard_group(kind: str, n: int | None) -> FiniteGroup:
         table = tuple(tuple((r + c) % n for c in range(n)) for r in range(n))
         return build_group(f"c{n}", tuple(str(r) for r in range(n)), table, 0)
     if kind == "elementary_abelian_2":
-        if 2**n > MAX_ORDER:
-            raise GroupTooLarge(f"rank {n} gives order {2 ** n} above the bound {MAX_ORDER}")
+        # Compared as a rank, so no power of two is built for a huge n.
+        if n > MAX_ORDER.bit_length() - 1:
+            raise GroupTooLarge(f"rank {n} gives order 2**{n} above the bound {MAX_ORDER}")
         size = 2**n
         labels = tuple(_ea2_label(mask) for mask in range(size))
         table = tuple(tuple(r ^ c for c in range(size)) for r in range(size))

@@ -25,6 +25,7 @@ from .groups import (
     MAX_ORDER,
     FiniteGroup,
     build_group,
+    generated_subgroup,
     standard_group,
 )
 
@@ -164,17 +165,7 @@ def _greedy_generators(G: FiniteGroup) -> list[int]:
         if g in closure:
             continue
         gens.append(g)
-        frontier = [G.identity]
-        closure = {G.identity}
-        while frontier:
-            fresh = []
-            for u in frontier:
-                for s in gens:
-                    for w in (G.mul(u, s), G.mul(s, u)):
-                        if w not in closure:
-                            closure.add(w)
-                            fresh.append(w)
-            frontier = fresh
+        closure = generated_subgroup(G, gens).members
         if len(closure) == G.order:
             break
     return gens

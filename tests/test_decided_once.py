@@ -1,0 +1,209 @@
+"""Facts that one piece of code decides, against references written here.
+
+Covered: the fraction-rule sweep answered from its identity (against an n^4
+loop over the table arithmetic), greedy generator choice through
+generated_subgroup (against a frozen copy of its former closure loop), and
+duplicate labels in group files (left to build_group).
+"""
+
+import itertools
+import json
+import random
+
+import pytest
+
+import cfkit.formula
+from cfkit import (
+    DuplicateLabel,
+    NonCommutativeGroup,
+    RoleAssignment,
+    build_group,
+    catalog,
+    parse_group_file,
+    render_group_file,
+    standard_group,
+    verify_fraction_rule,
+)
+from cfkit.cli import main
+from cfkit.morphisms import _greedy_generators
+
+COMMUTATIVE_UP_TO_12 = [
+    G for G in catalog().values() if G.order <= 12 and G.flags.commutative
+]
+
+
+def run(capsys, *argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def write_group(tmp_path, G):
+    path = tmp_path / f"{G.name}.json"
+    path.write_text(render_group_file(G), encoding="utf-8")
+    return str(path)
+
+
+def s3():
+    perms = sorted(itertools.permutations(range(3)))
+    labels = ["".join(map(str, p)) for p in perms]
+    table = [[perms.index(tuple(p[q[i]] for i in range(3))) for q in perms] for p in perms]
+    return build_group("s3", labels, table)
+
+
+# ---------------------------------------------------------------------------
+# fraction rule
+
+
+def reference_sweep(G):
+    """The fraction-rule payload from an n^4 loop over the table alone."""
+    t, n = G.table, G.order
+    e = next(g for g in range(n) if all(t[g][h] == h for h in range(n)))
+    inv = [next(h for h in range(n) if t[g][h] == e) for g in range(n)]
+    checked = 0
+    for x, y, a, b in itertools.product(range(n), repeat=4):
+        checked += 1
+        lhs = t[t[x][inv[a]]][inv[t[y][inv[b]]]]  # (x/a) / (y/b)
+        rhs = t[t[x][inv[y]]][inv[t[inv[b]][a]]]  # (x/y) / (b^-1/a^-1)
+        if lhs != rhs:
+            witness = {"group": G.name}
+            witness.update(zip("xyab", (G.label(v) for v in (x, y, a, b))))
+            return {"group": G.name, "checked": checked, "holds": False, "witness": witness}
+    return {"group": G.name, "checked": checked, "holds": True, "witness": None}
+
+
+@pytest.mark.parametrize("G", COMMUTATIVE_UP_TO_12, ids=lambda G: G.name)
+def test_fraction_sweep_matches_brute_force(G, capsys):
+    code, out, err = run(capsys, "fraction-rule", "--group", G.name, "--json")
+    expected = reference_sweep(G)
+    assert (code, err) == (0 if expected["holds"] else 1, "")
+    assert json.loads(out) == expected
+
+
+def test_the_commutative_catalog_up_to_12_is_covered():
+    names = {G.name for G in COMMUTATIVE_UP_TO_12}
+    assert names == {"sign", "klein", "ea2-1", "ea2-2", "ea2-3"} | {f"c{m}" for m in range(2, 13)}
+
+
+def non_commutative_message(G):
+    assignment = RoleAssignment(G, dict.fromkeys("xyab", G.identity), allow_repeats=True)
+    with pytest.raises(NonCommutativeGroup) as info:
+        verify_fraction_rule(G, assignment)
+    return f"error: {info.value}\n"
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_fraction_sweep_refuses_non_commutative_groups(json_flag, tmp_path, capsys):
+    q8 = standard_group("q8")
+    code, out, err = run(capsys, "fraction-rule", "--group", "q8", *json_flag)
+    assert (code, out, err) == (2, "", non_commutative_message(q8))
+    S3 = s3()
+    path = write_group(tmp_path, S3)
+    code, out, err = run(capsys, "fraction-rule", "--file", path, *json_flag)
+    assert (code, out, err) == (2, "", non_commutative_message(S3))
+    assert "'s3' is not commutative" in err
+
+
+@pytest.fixture
+def counted_verify(monkeypatch):
+    calls = []
+    real = cfkit.formula.verify_fraction_rule
+
+    def counting(G, assignment):
+        calls.append(assignment)
+        return real(G, assignment)
+
+    monkeypatch.setattr(cfkit.formula, "verify_fraction_rule", counting)
+    return calls
+
+
+def test_fraction_sweep_on_order_64_makes_one_check(counted_verify, tmp_path, capsys):
+    path = write_group(tmp_path, standard_group("cyclic", 64))
+    code, out, err = run(capsys, "fraction-rule", "--file", path, "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"group": "c64", "checked": 16777216, "holds": True, "witness": None}
+    assert len(counted_verify) <= 1
+    counted_verify.clear()
+    code, out, _ = run(capsys, "fraction-rule", "--file", path)
+    assert code == 0 and "(16777216 assignment(s) checked)" in out
+    assert len(counted_verify) <= 1
+
+
+@pytest.mark.parametrize("name", sorted(catalog()))
+def test_fraction_sweep_makes_at_most_one_check(name, counted_verify, capsys):
+    run(capsys, "fraction-rule", "--group", name)
+    assert len(counted_verify) <= 1
+
+
+# ---------------------------------------------------------------------------
+# generator choice
+
+
+def frozen_greedy_generators(G):
+    """_greedy_generators as it was with its own closure loop."""
+    gens = []
+    closure = {G.identity}
+    for g in range(G.order):
+        if g in closure:
+            continue
+        gens.append(g)
+        frontier = [G.identity]
+        closure = {G.identity}
+        while frontier:
+            fresh = []
+            for u in frontier:
+                for s in gens:
+                    for w in (G.mul(u, s), G.mul(s, u)):
+                        if w not in closure:
+                            closure.add(w)
+                            fresh.append(w)
+            frontier = fresh
+        if len(closure) == G.order:
+            break
+    return gens
+
+
+def relabelled(G, seed):
+    """A copy of G with its elements numbered in a shuffled order."""
+    order = list(range(G.order))
+    random.Random(seed).shuffle(order)
+    position = {g: i for i, g in enumerate(order)}
+    table = [[position[G.mul(a, b)] for b in order] for a in order]
+    return build_group(G.name, [G.label(g) for g in order], table)
+
+
+@pytest.mark.parametrize("G", list(catalog().values()), ids=lambda G: G.name)
+def test_greedy_generators_match_the_frozen_loop(G):
+    groups = [G] + [relabelled(G, f"{G.name}-{k}") for k in range(3)]
+    for H in groups:
+        assert _greedy_generators(H) == frozen_greedy_generators(H)
+
+
+# ---------------------------------------------------------------------------
+# group files
+
+
+@pytest.mark.parametrize(
+    "labels, message",
+    [
+        (["e", "e"], "label 'e' used for elements 0 and 1"),
+        (["e", "a", "e"], "label 'e' used for elements 0 and 2"),
+        (["1", "a", "b", "a"], "label 'a' used for elements 1 and 3"),
+        (["1", "a", "a", "a"], "label 'a' used for elements 1 and 2"),
+    ],
+)
+def test_duplicate_label_in_a_file_is_build_groups_error(labels, message):
+    n = len(labels)
+    table = [[(r + c) % n for c in range(n)] for r in range(n)]
+    with pytest.raises(DuplicateLabel) as from_build:
+        build_group("dup", labels, table)
+    payload = {
+        "name": "dup",
+        "elements": labels,
+        "identity": labels[0],
+        "table": [[labels[v] for v in row] for row in table],
+    }
+    with pytest.raises(DuplicateLabel) as from_file:
+        parse_group_file(json.dumps(payload))
+    assert type(from_file.value) is type(from_build.value)
+    assert str(from_file.value) == str(from_build.value) == message

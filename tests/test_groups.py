@@ -266,6 +266,16 @@ def test_standard_group_normalises_its_cache_key():
     assert standard_group("q8", 3) is standard_group("q8")
 
 
+@pytest.mark.parametrize("rank", [7, 20000, 10**9])
+def test_elementary_abelian_rank_above_the_bound_is_refused(rank):
+    # Refused from the rank alone: no 2**rank is built or printed.
+    with pytest.raises(GroupTooLarge) as exc:
+        standard_group("elementary_abelian_2", rank)
+    message = str(exc.value)
+    assert f"rank {rank} " in message and "bound 64" in message and len(message) < 100
+    assert standard_group("elementary_abelian_2", 6).order == 64
+
+
 # ---------------------------------------------------------------------------
 # element-level operations
 

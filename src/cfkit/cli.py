@@ -238,11 +238,8 @@ def _cmd_cf_enumerate(args) -> tuple[int, dict, list[str]]:
         constraints=pins,
         allow_repeats=args.allow_repeats,
     )
-    entries = []
-    for assignment, count in results:
-        entry = dict(sorted(assignment.labels().items()))
-        entry["count"] = count
-        entries.append(entry)
+    rows = [(assignment.labels(), count) for assignment, count in results]
+    entries = [dict(sorted(labels.items()), count=count) for labels, count in rows]
     payload = {
         "group": G.name,
         "variant": variant.name,
@@ -253,10 +250,8 @@ def _cmd_cf_enumerate(args) -> tuple[int, dict, list[str]]:
     }
     lines = [f"{len(results)} assignments admit a realization"]
     lines.extend(
-        "x={x} y={y} a={a} b={b}: {count} realization(s)".format(
-            **{role: assignment.labels()[role] for role in cf.ROLES}, count=count
-        )
-        for assignment, count in results
+        "x={x} y={y} a={a} b={b}: {count} realization(s)".format(**labels, count=count)
+        for labels, count in rows
     )
     return (0 if results else 1), payload, lines
 
@@ -274,22 +269,32 @@ def _cmd_cf_orbit(args) -> tuple[int, dict, list[str]]:
         G = _load_group(args)
         assignment = _parse_assignment(G, args.assign, args.allow_repeats)
     result = cf.iterate_chain(variant, args.steps, assignment)
-    payload = {"variant": variant.name, "formula": render_formula(variant)}
-    payload.update(cf.chain_to_json(result))
-    lines = [f"{variant.name}: {render_formula(variant)}"]
+    formula = render_formula(variant)
+    if args.json:
+        payload = {"variant": variant.name, "formula": formula}
+        payload.update(cf.chain_to_json(result))
+        return 0, payload, []
+    # Steps in the same orbit state share their side and values objects, so
+    # each state's text is rendered once.
+    texts: dict[tuple[int, int], str] = {}
+    lines = [f"{variant.name}: {formula}"]
     for step in result.steps:
-        if step.values is None:
-            lines.append(f"step {step.step}: {step.side}")
-        else:
-            labels = ", ".join(
-                f"{role}={assignment.group.label(v)}"
-                for role, v in zip(cf.ROLES, step.values)
-            )
-            lines.append(f"step {step.step}: {step.side}   [{labels}]")
+        key = (id(step.side), id(step.values))
+        text = texts.get(key)
+        if text is None:
+            text = str(step.side)
+            if step.values is not None:
+                labels = ", ".join(
+                    f"{role}={assignment.group.label(v)}"
+                    for role, v in zip(cf.ROLES, step.values)
+                )
+                text = f"{text}   [{labels}]"
+            texts[key] = text
+        lines.append(f"step {step.step}: {text}")
     lines.append(f"symbolic period: {result.symbolic_period}")
     if assignment is not None:
         lines.append(f"element period: {result.element_period}")
-    return 0, payload, lines
+    return 0, {}, lines
 
 
 def _cmd_fraction_rule(args) -> tuple[int, dict, list[str]]:

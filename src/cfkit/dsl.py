@@ -16,7 +16,7 @@ import json
 
 from .errors import InconsistentRule, ParseError
 from .formula import BUILTIN_VARIANTS, CFVariant, FormulaSide, ROLES, RoleTerm
-from .groups import FiniteGroup, build_group
+from .groups import FiniteGroup, _check_order, build_group
 
 _WHITESPACE = " \t\r\n"
 
@@ -142,6 +142,7 @@ def parse_group_file(text: str) -> FiniteGroup:
     labels = payload["elements"]
     if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
         raise ParseError("must be an array of strings", field="elements")
+    _check_order(len(labels))
     # A repeated label is left for build_group to reject (DuplicateLabel).
     index = {label: i for i, label in enumerate(labels)}
 

@@ -8,7 +8,7 @@ finite group.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import cycle, islice
 from operator import itemgetter
 from typing import Callable, Mapping, NamedTuple, Optional
@@ -23,7 +23,7 @@ from .errors import (
     UnsatisfiableConstraint,
 )
 from .groups import FiniteGroup
-from .morphisms import GroupMap, enumerate_symmetries
+from .morphisms import _SYMMETRY_CACHE_SIZE, GroupMap, enumerate_symmetries
 
 ROLES = ("x", "y", "a", "b")
 _ROLE_SET = frozenset(ROLES)
@@ -256,13 +256,34 @@ def induced_partial_map(assignment: RoleAssignment, variant: CFVariant) -> Parti
     return PartialMap(G, tuple(sorted(mapping.items())))
 
 
+@lru_cache(maxsize=_SYMMETRY_CACHE_SIZE)
+def _symmetry_index(
+    G: FiniteGroup, with_anti: bool
+) -> tuple[dict[int, tuple[GroupMap, ...]], ...]:
+    """index[s][d]: the symmetries with f(s) = d, in the list's order."""
+    maps = enumerate_symmetries(G, include_anti=with_anti)
+    index: list[dict[int, list[GroupMap]]] = [{} for _ in range(G.order)]
+    for m in maps:
+        for buckets, d in zip(index, m.images):
+            buckets.setdefault(d, []).append(m)
+    return tuple({d: tuple(b) for d, b in buckets.items()} for buckets in index)
+
+
 def realizations(
     assignment: RoleAssignment, variant: CFVariant, allow_anti: bool = True
 ) -> tuple[GroupMap, ...]:
-    """Symmetries whose restriction to the assigned elements matches the rule."""
-    partial = induced_partial_map(assignment, variant)
-    maps = enumerate_symmetries(assignment.group, include_anti=allow_anti)
-    return tuple(m for m in maps if partial.agrees_with(m))
+    """Symmetries whose restriction to the assigned elements matches the rule.
+
+    The maps with f(s) = d are looked up by (s, d) in an index of the cached
+    symmetry list; the smallest such bucket is filtered by all the pairs.
+    """
+    pairs = induced_partial_map(assignment, variant).pairs
+    G = assignment.group
+    index = _symmetry_index(G, bool(allow_anti) and not G.flags.commutative)
+    bucket = min((index[s].get(d, ()) for s, d in pairs), key=len)
+    pick = itemgetter(*(s for s, _ in pairs))
+    want = pick(dict(pairs))
+    return tuple(m for m in bucket if pick(m.images) == want)
 
 
 def enumerate_assignments(
@@ -435,15 +456,22 @@ def assignment_to_json(assignment: RoleAssignment) -> dict:
 
 
 def chain_to_json(result: ChainResult) -> dict:
+    # Steps in the same orbit state share their side and values objects, so
+    # each state is rendered once.
+    states: dict[tuple[int, int], tuple[str, Optional[tuple[str, ...]]]] = {}
     steps = []
     for s in result.steps:
-        entry: dict = {"step": s.step, "side": str(s.side)}
-        if s.values is None:
-            entry["tuple"] = None
-        else:
-            group = result.assignment.group
-            entry["tuple"] = [group.label(v) for v in s.values]
-        steps.append(entry)
+        key = (id(s.side), id(s.values))
+        state = states.get(key)
+        if state is None:
+            labels = None
+            if s.values is not None:
+                labels = tuple(map(result.assignment.group.label, s.values))
+            state = states[key] = (str(s.side), labels)
+        side, labels = state
+        steps.append(
+            {"step": s.step, "side": side, "tuple": None if labels is None else list(labels)}
+        )
     return {
         "steps": steps,
         "symbolic_period": result.symbolic_period,

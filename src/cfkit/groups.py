@@ -27,6 +27,12 @@ from .errors import (
 MAX_ORDER = 64
 
 
+def _check_order(n: int) -> None:
+    """Refuse n elements above MAX_ORDER; callers run it before any table work."""
+    if n > MAX_ORDER:
+        raise GroupTooLarge(f"order {n} exceeds the supported bound {MAX_ORDER}")
+
+
 @frozen
 class FiniteGroup:
     """Immutable group data: element labels and an index-valued product table.
@@ -135,8 +141,7 @@ def build_group(
     n = len(labels)
     if n == 0:
         raise ValueError("a group needs at least one element")
-    if n > MAX_ORDER:
-        raise GroupTooLarge(f"order {n} exceeds the supported bound {MAX_ORDER}")
+    _check_order(n)
     seen: dict[str, int] = {}
     for idx, lab in enumerate(labels):
         if lab in seen:

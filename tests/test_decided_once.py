@@ -2,8 +2,9 @@
 
 Covered: the fraction-rule sweep answered from its identity (against an n^4
 loop over the table arithmetic), greedy generator choice through
-generated_subgroup (against a frozen copy of its former closure loop), and
-duplicate labels in group files (left to build_group).
+generated_subgroup (against a frozen copy of its former closure loop),
+duplicate labels in group files (left to build_group), and the order bound
+(one check, made by group files before any table work).
 """
 
 import itertools
@@ -15,6 +16,7 @@ import pytest
 import cfkit.formula
 from cfkit import (
     DuplicateLabel,
+    GroupTooLarge,
     NonCommutativeGroup,
     RoleAssignment,
     build_group,
@@ -207,3 +209,27 @@ def test_duplicate_label_in_a_file_is_build_groups_error(labels, message):
         parse_group_file(json.dumps(payload))
     assert type(from_file.value) is type(from_build.value)
     assert str(from_file.value) == str(from_build.value) == message
+
+
+def cyclic_file(n):
+    labels = [f"g{i}" for i in range(n)]
+    table = [[labels[(r + c) % n] for c in range(n)] for r in range(n)]
+    return {"name": f"c{n}", "elements": labels, "identity": labels[0], "table": table}
+
+
+def test_oversized_group_file_is_refused_before_its_table():
+    payload = cyclic_file(65)
+    payload["table"][64][64] = "not-a-label"
+    with pytest.raises(GroupTooLarge) as from_file:
+        parse_group_file(json.dumps(payload))
+    with pytest.raises(GroupTooLarge) as from_build:
+        build_group("c65", payload["elements"], [[0] * 65] * 65)
+    assert str(from_file.value) == str(from_build.value)
+    assert str(from_file.value) == "order 65 exceeds the supported bound 64"
+
+
+def test_thousand_element_group_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "c1000.json"
+    path.write_text(json.dumps(cyclic_file(1000)), encoding="utf-8")
+    code, out, err = run(capsys, "check-group", "--file", str(path))
+    assert (code, out, err) == (2, "", "error: order 1000 exceeds the supported bound 64\n")

@@ -3,14 +3,18 @@
 Covered: assignment enumeration by solving the rule per symmetry, for the
 built-in variants and for custom rules, chains read from the variant's
 cached orbit, the group-fact tables behind inverse_of, element_order and
-structure_flags, and the verified-once symmetry cache.  Metamorphic tests
-check that enumeration counts do not depend on how elements are numbered,
-and do not change when every role value is moved by an automorphism.
+structure_flags, the verified-once symmetry cache, and realization queries
+answered from the (element, image) index of that cache.  Metamorphic tests
+check that enumeration counts and realizations do not depend on how
+elements are numbered, and that counts do not change when every role value
+is moved by an automorphism.
 """
 
 import itertools
 import json
+import operator
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -19,9 +23,12 @@ from hypothesis import strategies as st
 from cfkit import (
     BUILTIN_VARIANTS,
     CLASSIC,
+    MOSKO,
     ROLES,
     CFVariant,
     ChainStep,
+    ConflictingPairs,
+    GroupTooLarge,
     PartialMap,
     RoleAssignment,
     RoleTerm,
@@ -32,13 +39,18 @@ from cfkit import (
     element_order,
     enumerate_assignments,
     enumerate_symmetries,
+    induced_partial_map,
     inverse_of,
     iterate_chain,
     parse_group_file,
+    realizations,
     render_group_file,
     rewrite_side,
+    standard_group,
     structure_flags,
 )
+from cfkit.formula import _symmetry_index
+from cfkit.morphisms import _SYMMETRY_CACHE_SIZE
 
 
 def dihedral_four():
@@ -373,3 +385,130 @@ def test_enumeration_counts_survive_relabelling(G):
             }
             after = dict(enumerated(H, variant, True, {}, repeats))
             assert after == before, (variant.name, repeats)
+
+
+# ---------------------------------------------------------------------------
+# realization lookups
+
+
+def reference_realizations(assignment, variant, allow_anti=True):
+    """Frozen copy of the former filter: test every map of the cached list."""
+    partial = induced_partial_map(assignment, variant)
+    maps = enumerate_symmetries(assignment.group, include_anti=allow_anti)
+    return tuple(m for m in maps if partial.agrees_with(m))
+
+
+def direct_product(G, H):
+    elements = [f"({g},{h})" for g in G.elements for h in H.elements]
+    m = H.order
+    table = [
+        [G.table[i // m][j // m] * m + H.table[i % m][j % m] for j in range(G.order * m)]
+        for i in range(G.order * m)
+    ]
+    return build_group(f"{G.name}x{H.name}", elements, table)
+
+
+Q8_X_C2 = direct_product(catalog()["q8"], catalog()["c2"])
+FIXED_RULES = (*BUILTIN_VARIANTS.values(), x_to_y, inverted_self_loops, all_to_x)
+
+
+def queries(G, rng, per_size=3):
+    """Role values with exactly k distinct elements, for k = 1 .. min(4, n).
+
+    Each value is used by some role, so a query that does not conflict has
+    k induced pairs.
+    """
+    for k in range(1, min(len(ROLES), G.order) + 1):
+        for _ in range(per_size):
+            chosen = rng.sample(range(G.order), k)
+            combo = chosen + [rng.choice(chosen) for _ in range(len(ROLES) - k)]
+            rng.shuffle(combo)
+            yield k, dict(zip(ROLES, combo))
+
+
+def same_answer(assignment, variant, anti):
+    """Compare with the reference, errors included; the pair count or None."""
+    try:
+        want = reference_realizations(assignment, variant, anti)
+    except ConflictingPairs as exc:
+        with pytest.raises(ConflictingPairs, match=re.escape(str(exc))):
+            realizations(assignment, variant, allow_anti=anti)
+        return None
+    got = realizations(assignment, variant, allow_anti=anti)
+    assert got == want, (assignment.values, variant.rule, anti)
+    assert all(map(operator.is_, got, want))
+    return len(induced_partial_map(assignment, variant).pairs)
+
+
+# ea2-4's list takes seconds to search, so only its catalog copy is queried.
+@pytest.mark.parametrize(
+    "G, relabel",
+    [(G, False) for G in ALL + [Q8_X_C2]]
+    + [(G, True) for G in ALL + [Q8_X_C2] if G.name != "ea2-4"],
+    ids=lambda v: v.name if hasattr(v, "name") else ("relabelled" if v else "catalog"),
+)
+def test_realizations_match_filtering_every_symmetry(G, relabel):
+    if relabel:
+        G, _ = relabelled(G, G.name)
+    rng = random.Random(G.name + str(relabel))
+    pair_counts = set()
+    for k, values in queries(G, rng):
+        for repeats in (True, False) if k == len(ROLES) else (True,):
+            assignment = RoleAssignment(G, values, allow_repeats=repeats)
+            for variant, anti in itertools.product(FIXED_RULES, (True, False)):
+                pair_counts.add(same_answer(assignment, variant, anti))
+    assert pair_counts - {None} == set(range(1, min(len(ROLES), G.order) + 1))
+
+
+@pytest.mark.parametrize("G", SMALL + [Q8_X_C2], ids=lambda G: G.name)
+@settings(max_examples=6, deadline=None)
+@given(variant=custom_variants(), seed=st.integers(0, 2**32), anti=st.booleans())
+def test_realizations_match_filtering_for_custom_rules(G, variant, seed, anti):
+    for _, values in queries(G, random.Random(seed), per_size=2):
+        same_answer(RoleAssignment(G, values, allow_repeats=True), variant, anti)
+
+
+@pytest.mark.parametrize("G", SMALL + [Q8_X_C2], ids=lambda G: G.name)
+def test_realizations_survive_relabelling(G):
+    H, to_h = relabelled(G, G.name)
+    from_h = sorted(to_h, key=to_h.get)
+    rng = random.Random(G.name)
+    for _, values in queries(G, rng):
+        before = RoleAssignment(G, values, allow_repeats=True)
+        after = RoleAssignment(H, {r: to_h[v] for r, v in values.items()}, allow_repeats=True)
+        for variant, anti in itertools.product(FIXED_RULES, (True, False)):
+            try:
+                found = realizations(before, variant, allow_anti=anti)
+            except ConflictingPairs:
+                with pytest.raises(ConflictingPairs):
+                    realizations(after, variant, allow_anti=anti)
+                continue
+            moved = {tuple(to_h[m.images[g]] for g in from_h) for m in found}
+            assert {m.images for m in realizations(after, variant, allow_anti=anti)} == moved
+
+
+def test_realizations_after_the_cache_turns_over():
+    c3 = catalog()["c3"]
+    groups = [
+        build_group(f"c3-{i}", c3.elements, c3.table) for i in range(_SYMMETRY_CACHE_SIZE + 1)
+    ]
+    values = {"x": 0, "y": 1, "a": 2, "b": 2}
+    assignment = RoleAssignment(groups[0], values, allow_repeats=True)
+    first = realizations(assignment, MOSKO)
+    assert first == reference_realizations(assignment, MOSKO) != ()
+    for G in groups[1:]:
+        same_answer(RoleAssignment(G, values, allow_repeats=True), MOSKO, True)
+    info = _symmetry_index.cache_info()
+    assert info.currsize <= _SYMMETRY_CACHE_SIZE
+    again = realizations(assignment, MOSKO)
+    assert _symmetry_index.cache_info().misses == info.misses + 1
+    assert again == first == reference_realizations(assignment, MOSKO)
+
+
+def test_realizations_raise_conflicts_before_the_size_bound():
+    G = standard_group("cyclic", 17)
+    conflicting = RoleAssignment(G, {"x": 1, "y": 1, "a": 2, "b": 3}, allow_repeats=True)
+    with pytest.raises(ConflictingPairs):
+        realizations(conflicting, CLASSIC)
+    with pytest.raises(GroupTooLarge):
+        realizations(RoleAssignment(G, {"x": 1, "y": 2, "a": 3, "b": 4}), CLASSIC)

@@ -237,14 +237,19 @@ class PartialMap:
         return all(m.images[src] == dst for src, dst in self.pairs)
 
 
-def induced_partial_map(assignment: RoleAssignment, variant: CFVariant) -> PartialMap:
-    """The transformation each role's value undergoes under the variant's rule.
+_role_values = itemgetter(*ROLES)
 
-    Roles that share a value must send it to the same element; otherwise
-    ConflictingPairs names the first two that disagree.
+
+def _induced_pairs(
+    assignment: RoleAssignment, variant: CFVariant
+) -> tuple[tuple[int, int], ...]:
+    """The (source, target) pairs of the induced map, sorted by source.
+
+    The assignment's values are already valid indices, so nothing is checked
+    again here; roles that share a value must send it to the same element.
     """
     G = assignment.group
-    values = tuple(assignment.values[role] for role in ROLES)
+    values = _role_values(assignment.values)
     mapping: dict[int, int] = {}
     targets = variant._rule_pick(_with_inverses(G, values))
     for role, src, dst in zip(ROLES, values, targets):
@@ -253,7 +258,16 @@ def induced_partial_map(assignment: RoleAssignment, variant: CFVariant) -> Parti
                 f"roles {ROLES[values.index(src)]!r} and {role!r} share element "
                 f"{G.label(src)!r} but are sent to {G.label(mapping[src])!r} and {G.label(dst)!r}"
             )
-    return PartialMap(G, tuple(sorted(mapping.items())))
+    return tuple(sorted(mapping.items()))
+
+
+def induced_partial_map(assignment: RoleAssignment, variant: CFVariant) -> PartialMap:
+    """The transformation each role's value undergoes under the variant's rule.
+
+    Roles that share a value must send it to the same element; otherwise
+    ConflictingPairs names the first two that disagree.
+    """
+    return PartialMap(assignment.group, _induced_pairs(assignment, variant))
 
 
 @lru_cache(maxsize=_SYMMETRY_CACHE_SIZE)
@@ -277,7 +291,7 @@ def realizations(
     The maps with f(s) = d are looked up by (s, d) in an index of the cached
     symmetry list; the smallest such bucket is filtered by all the pairs.
     """
-    pairs = induced_partial_map(assignment, variant).pairs
+    pairs = _induced_pairs(assignment, variant)
     G = assignment.group
     index = _symmetry_index(G, bool(allow_anti) and not G.flags.commutative)
     bucket = min((index[s].get(d, ()) for s, d in pairs), key=len)

@@ -7,6 +7,7 @@ runs on indices and labels appear only at I/O boundaries.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from ._record import frozen
@@ -38,9 +39,9 @@ class FiniteGroup:
     """Immutable group data: element labels and an index-valued product table.
 
     Values come from build_group, so the table is a validated group.  Facts
-    derived from it (inverses, element orders, flags) are computed on first
-    use and kept on the instance; they are not fields, so equality, hashing
-    and repr see only the table data.
+    derived from it (inverses, element orders, flags, the hash) are computed
+    on first use and kept on the instance; they are not fields, so equality,
+    hashing and repr see only the table data.
     """
 
     name: str
@@ -51,6 +52,11 @@ class FiniteGroup:
     @property
     def order(self) -> int:
         return len(self.elements)
+
+    @cached_property
+    def _hash(self) -> int:
+        # The value the record's field-tuple hash gives, walked over the table once.
+        return hash((self.name, self.elements, self.table, self.identity))
 
     @cached_property
     def inverses(self) -> tuple[int, ...]:
@@ -98,6 +104,15 @@ class FiniteGroup:
                 f"index {g!r} outside [0, {len(self.elements)}) in group {self.name!r}"
             )
         return g
+
+
+def _cached_hash(group: FiniteGroup) -> int:
+    return group._hash
+
+
+# Group-keyed caches hash their key on every lookup, so a group hashes its
+# n x n table once and answers later calls from the instance.
+FiniteGroup.__hash__ = _cached_hash
 
 
 @frozen
@@ -179,20 +194,52 @@ def build_group(
         if not any(rows[g][h] == found and rows[h][g] == found for h in range(n)):
             raise MissingInverse(f"element {g} ({labels[g]!r}) has no two-sided inverse")
 
-    for a in range(n):
-        for b in range(n):
-            ab = rows[a][b]
-            row_a = rows[a]
-            for c in range(n):
-                if rows[ab][c] != row_a[rows[b][c]]:
-                    raise NonAssociative(
-                        f"witness triple ({a}, {b}, {c}) = "
-                        f"({labels[a]!r}, {labels[b]!r}, {labels[c]!r}): "
-                        f"({labels[a]}*{labels[b]})*{labels[c]} = {labels[rows[ab][c]]!r} "
-                        f"but {labels[a]}*({labels[b]}*{labels[c]}) = {labels[row_a[rows[b][c]]]!r}"
-                    )
+    if not _associative(rows, found):
+        # Name the lexicographically first failing triple.
+        for a in range(n):
+            for b in range(n):
+                ab = rows[a][b]
+                row_a = rows[a]
+                for c in range(n):
+                    if rows[ab][c] != row_a[rows[b][c]]:
+                        raise NonAssociative(
+                            f"witness triple ({a}, {b}, {c}) = "
+                            f"({labels[a]!r}, {labels[b]!r}, {labels[c]!r}): "
+                            f"({labels[a]}*{labels[b]})*{labels[c]} = {labels[rows[ab][c]]!r} "
+                            f"but {labels[a]}*({labels[b]}*{labels[c]}) = "
+                            f"{labels[row_a[rows[b][c]]]!r}"
+                        )
 
     return FiniteGroup(name, labels, rows, found)
+
+
+def _associative(rows: tuple[tuple[int, ...], ...], identity: int) -> bool:
+    """Light's associativity test (Clifford & Preston, The Algebraic Theory of
+    Semigroups I, section 1.2).
+
+    The elements g with (x*g)*y = x*(g*y) for all x, y are closed under
+    products, so testing a generating set decides associativity.  Generators
+    are taken greedily: the least element outside the closure so far.  The
+    identity always passes and starts the closure.
+    """
+    closure = {identity}
+    for g in range(len(rows)):
+        if g in closure:
+            continue
+        # Row x of (x*g)*y is row x*g; row x of x*(g*y) is row x read at row g.
+        via_g = itemgetter(*rows[g])
+        if any(rows[row[g]] != via_g(row) for row in rows):
+            return False
+        fresh = [g]
+        closure.add(g)
+        while fresh:
+            u = fresh.pop()
+            for v in tuple(closure):
+                for w in (rows[u][v], rows[v][u]):
+                    if w not in closure:
+                        closure.add(w)
+                        fresh.append(w)
+    return True
 
 
 def inverse_of(G: FiniteGroup, g: int) -> int:

@@ -251,19 +251,26 @@ def enumerate_symmetries(G: FiniteGroup, include_anti: bool = True) -> tuple[Gro
     with kind "both".  Output is sorted lexicographically by image sequence.
     Each list is built, and each of its maps classified, once per group.
     """
-    return _symmetries(G, bool(include_anti) and not G.flags.commutative)
+    with_anti = bool(include_anti) and not G.flags.commutative
+    lists = _symmetry_lists(G)
+    maps = lists.get(with_anti)
+    if maps is None:
+        # Every anti-automorphism is (automorphism o inversion), so the second
+        # family comes from composing rather than from a second search.
+        autos, inv = lists[False], G.inverses
+        anti = [classify_map(G, G, tuple(m.images[i] for i in inv)) for m in autos]
+        maps = lists[True] = tuple(sorted((*autos, *anti), key=lambda m: m.images))
+    return maps
 
 
 @lru_cache(maxsize=_SYMMETRY_CACHE_SIZE)
-def _symmetries(G: FiniteGroup, with_anti: bool) -> tuple[GroupMap, ...]:
-    auto_images = _automorphism_images(G)
-    if not with_anti:
-        return tuple(classify_map(G, G, imgs) for imgs in auto_images)
-    # Every anti-automorphism is (automorphism o inversion), so the second
-    # family comes from composing rather than from a second search.
-    inv = G.inverses
-    anti = [classify_map(G, G, tuple(imgs[i] for i in inv)) for imgs in auto_images]
-    return tuple(sorted((*_symmetries(G, False), *anti), key=lambda m: m.images))
+def _symmetry_lists(G: FiniteGroup) -> dict[bool, tuple[GroupMap, ...]]:
+    """G's symmetry lists keyed by with_anti: the automorphisms at once, the
+    list with the anti-automorphisms added on first request.
+
+    One entry per group, so the cache bound counts groups, not lists.
+    """
+    return {False: tuple(classify_map(G, G, imgs) for imgs in _automorphism_images(G))}
 
 
 @frozen

@@ -8,7 +8,7 @@ finite group.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import cycle, islice
 from operator import itemgetter
 from typing import Callable, Mapping, NamedTuple, Optional
@@ -23,7 +23,7 @@ from .errors import (
     UnsatisfiableConstraint,
 )
 from .groups import FiniteGroup
-from .morphisms import _SYMMETRY_CACHE_SIZE, GroupMap, enumerate_symmetries
+from .morphisms import GroupMap, _image_index, enumerate_symmetries
 
 ROLES = ("x", "y", "a", "b")
 _ROLE_SET = frozenset(ROLES)
@@ -270,19 +270,6 @@ def induced_partial_map(assignment: RoleAssignment, variant: CFVariant) -> Parti
     return PartialMap(assignment.group, _induced_pairs(assignment, variant))
 
 
-@lru_cache(maxsize=_SYMMETRY_CACHE_SIZE)
-def _symmetry_index(
-    G: FiniteGroup, with_anti: bool
-) -> tuple[dict[int, tuple[GroupMap, ...]], ...]:
-    """index[s][d]: the symmetries with f(s) = d, in the list's order."""
-    maps = enumerate_symmetries(G, include_anti=with_anti)
-    index: list[dict[int, list[GroupMap]]] = [{} for _ in range(G.order)]
-    for m in maps:
-        for buckets, d in zip(index, m.images):
-            buckets.setdefault(d, []).append(m)
-    return tuple({d: tuple(b) for d, b in buckets.items()} for buckets in index)
-
-
 def realizations(
     assignment: RoleAssignment, variant: CFVariant, allow_anti: bool = True
 ) -> tuple[GroupMap, ...]:
@@ -293,7 +280,7 @@ def realizations(
     """
     pairs = _induced_pairs(assignment, variant)
     G = assignment.group
-    index = _symmetry_index(G, bool(allow_anti) and not G.flags.commutative)
+    index = _image_index(G, allow_anti)
     bucket = min((index[s].get(d, ()) for s, d in pairs), key=len)
     pick = itemgetter(*(s for s, _ in pairs))
     want = pick(dict(pairs))

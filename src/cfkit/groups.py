@@ -76,6 +76,12 @@ class FiniteGroup:
         return tuple(orders)
 
     @cached_property
+    def generators(self) -> tuple[int, ...]:
+        """Greedy generators, the ones Light's test checks: each is the least
+        element outside the subgroup the ones before generate."""
+        return _greedy_generators(self.table, self.identity)
+
+    @cached_property
     def flags(self) -> StructureFlags:
         t, n = self.table, self.order
         return StructureFlags(
@@ -213,32 +219,44 @@ def build_group(
     return FiniteGroup(name, labels, rows, found)
 
 
+def _closure(rows: Sequence[Sequence[int]], identity: int, gens: Sequence[int]) -> set[int]:
+    """The elements reached from the identity by multiplying by gens on either side."""
+    members = {identity}
+    frontier = [identity]
+    while frontier:
+        u = frontier.pop()
+        for g in gens:
+            for w in (rows[u][g], rows[g][u]):
+                if w not in members:
+                    members.add(w)
+                    frontier.append(w)
+    return members
+
+
+def _greedy_generators(rows: Sequence[Sequence[int]], identity: int) -> tuple[int, ...]:
+    """Generators taken greedily: each is the least element outside the
+    closure of the ones before, which starts as the identity alone."""
+    gens: list[int] = []
+    closure = {identity}
+    for g in range(len(rows)):
+        if g not in closure:
+            gens.append(g)
+            closure = _closure(rows, identity, gens)
+    return tuple(gens)
+
+
 def _associative(rows: tuple[tuple[int, ...], ...], identity: int) -> bool:
     """Light's associativity test (Clifford & Preston, The Algebraic Theory of
     Semigroups I, section 1.2).
 
     The elements g with (x*g)*y = x*(g*y) for all x, y are closed under
-    products, so testing a generating set decides associativity.  Generators
-    are taken greedily: the least element outside the closure so far.  The
-    identity always passes and starts the closure.
+    products, so testing the greedy generators decides associativity.
     """
-    closure = {identity}
-    for g in range(len(rows)):
-        if g in closure:
-            continue
+    for g in _greedy_generators(rows, identity):
         # Row x of (x*g)*y is row x*g; row x of x*(g*y) is row x read at row g.
         via_g = itemgetter(*rows[g])
         if any(rows[row[g]] != via_g(row) for row in rows):
             return False
-        fresh = [g]
-        closure.add(g)
-        while fresh:
-            u = fresh.pop()
-            for v in tuple(closure):
-                for w in (rows[u][v], rows[v][u]):
-                    if w not in closure:
-                        closure.add(w)
-                        fresh.append(w)
     return True
 
 
@@ -260,17 +278,7 @@ def structure_flags(G: FiniteGroup) -> StructureFlags:
 def generated_subgroup(G: FiniteGroup, generators: Iterable[int]) -> ElementSubset:
     """Smallest subgroup containing the generators (closure under products)."""
     gens = [G.check_index(g) for g in generators]
-    members = {G.identity}
-    frontier = [G.identity]
-    while frontier:
-        fresh: list[int] = []
-        for u in frontier:
-            for g in gens:
-                for w in (G.mul(u, g), G.mul(g, u)):
-                    if w not in members:
-                        members.add(w)
-                        fresh.append(w)
-        frontier = fresh
+    members = _closure(G.table, G.identity, gens)
     return ElementSubset(G, frozenset(members))
 
 
@@ -371,9 +379,12 @@ _CATALOG: dict[str, tuple] = {
 }
 
 
-@lru_cache(maxsize=None)
 def catalog() -> dict[str, FiniteGroup]:
-    """Groups addressable by name: q8, klein, sign, c2..c16, ea2-1..ea2-4."""
+    """Groups addressable by name: q8, klein, sign, c2..c16, ea2-1..ea2-4.
+
+    Each call returns a new dict of the same cached groups, so a caller that
+    changes it changes no later call's answer.
+    """
     return {name: standard_group(*args) for name, args in _CATALOG.items()}
 
 

@@ -25,7 +25,6 @@ from .groups import (
     MAX_ORDER,
     FiniteGroup,
     build_group,
-    generated_subgroup,
     standard_group,
 )
 
@@ -73,14 +72,6 @@ def _hom_law_holds(G: FiniteGroup, H: FiniteGroup, images: Sequence[int]) -> boo
     return True
 
 
-def _anti_law_holds(G: FiniteGroup, H: FiniteGroup, images: Sequence[int]) -> bool:
-    for a in range(G.order):
-        for b in range(G.order):
-            if images[G.table[a][b]] != H.table[images[b]][images[a]]:
-                return False
-    return True
-
-
 def classify_map(G: FiniteGroup, H: FiniteGroup, images: Sequence[int]) -> GroupMap:
     """Check both laws exhaustively and record kind and bijectivity."""
     imgs = tuple(images)
@@ -90,7 +81,8 @@ def classify_map(G: FiniteGroup, H: FiniteGroup, images: Sequence[int]) -> Group
         if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < H.order:
             raise IndexOutOfRange(f"image {v!r} is not an index in [0, {H.order})")
     hom = _hom_law_holds(G, H, imgs)
-    anti = _anti_law_holds(G, H, imgs)
+    # f reverses products exactly when g -> f(g^-1) preserves them.
+    anti = _hom_law_holds(G, H, tuple(imgs[g] for g in G.inverses))
     if hom and anti:
         kind = KIND_BOTH
     elif hom:
@@ -158,19 +150,6 @@ def invert_map(f: GroupMap) -> GroupMap:
 # Exhaustive enumeration.
 
 
-def _greedy_generators(G: FiniteGroup) -> list[int]:
-    gens: list[int] = []
-    closure = {G.identity}
-    for g in range(G.order):
-        if g in closure:
-            continue
-        gens.append(g)
-        closure = generated_subgroup(G, gens).members
-        if len(closure) == G.order:
-            break
-    return gens
-
-
 def _bijective_homomorphisms(
     G: FiniteGroup, H: FiniteGroup, limit: int | None = None
 ) -> list[tuple[int, ...]]:
@@ -182,7 +161,7 @@ def _bijective_homomorphisms(
     if sorted(src_orders) != sorted(dst_orders):
         return []
 
-    gens = _greedy_generators(G)
+    gens = G.generators
     images: dict[int, int] = {G.identity: H.identity}
     used: dict[int, int] = {H.identity: G.identity}
     results: list[tuple[int, ...]] = []
@@ -236,12 +215,24 @@ def _bijective_homomorphisms(
 
 
 @lru_cache(maxsize=_SYMMETRY_CACHE_SIZE)
-def _automorphism_images(G: FiniteGroup) -> tuple[tuple[int, ...], ...]:
+def _symmetries(G: FiniteGroup) -> tuple[tuple[tuple[int, ...], ...], dict, dict]:
+    """G's symmetry data, in one entry per group so the bound counts groups.
+
+    The automorphism images are searched when the entry is made.  The
+    classified list for each anti flag (see _with_anti) and each list's
+    (element, image) index are added on first request.
+    """
     if G.order > MAX_SYMMETRY_BASE:
         raise GroupTooLarge(
             f"symmetry enumeration supports orders up to {MAX_SYMMETRY_BASE}, got {G.order}"
         )
-    return tuple(_bijective_homomorphisms(G, G))
+    return tuple(_bijective_homomorphisms(G, G)), {}, {}
+
+
+def _with_anti(G: FiniteGroup, include_anti: bool) -> bool:
+    """Whether a request adds anti-automorphisms: on a commutative group they
+    are the automorphisms."""
+    return bool(include_anti) and not G.flags.commutative
 
 
 def enumerate_symmetries(G: FiniteGroup, include_anti: bool = True) -> tuple[GroupMap, ...]:
@@ -251,26 +242,33 @@ def enumerate_symmetries(G: FiniteGroup, include_anti: bool = True) -> tuple[Gro
     with kind "both".  Output is sorted lexicographically by image sequence.
     Each list is built, and each of its maps classified, once per group.
     """
-    with_anti = bool(include_anti) and not G.flags.commutative
-    lists = _symmetry_lists(G)
-    maps = lists.get(with_anti)
-    if maps is None:
+    images, lists, _ = _symmetries(G)
+    with_anti = _with_anti(G, include_anti)
+    if False not in lists:
+        lists[False] = tuple(classify_map(G, G, imgs) for imgs in images)
+    if with_anti not in lists:
         # Every anti-automorphism is (automorphism o inversion), so the second
         # family comes from composing rather than from a second search.
         autos, inv = lists[False], G.inverses
         anti = [classify_map(G, G, tuple(m.images[i] for i in inv)) for m in autos]
-        maps = lists[True] = tuple(sorted((*autos, *anti), key=lambda m: m.images))
-    return maps
+        lists[True] = tuple(sorted((*autos, *anti), key=lambda m: m.images))
+    return lists[with_anti]
 
 
-@lru_cache(maxsize=_SYMMETRY_CACHE_SIZE)
-def _symmetry_lists(G: FiniteGroup) -> dict[bool, tuple[GroupMap, ...]]:
-    """G's symmetry lists keyed by with_anti: the automorphisms at once, the
-    list with the anti-automorphisms added on first request.
-
-    One entry per group, so the cache bound counts groups, not lists.
-    """
-    return {False: tuple(classify_map(G, G, imgs) for imgs in _automorphism_images(G))}
+def _image_index(G: FiniteGroup, include_anti: bool) -> tuple[dict, ...]:
+    """index[s][d]: the symmetries with f(s) = d, in the list's order."""
+    indexes = _symmetries(G)[2]
+    with_anti = _with_anti(G, include_anti)
+    index = indexes.get(with_anti)
+    if index is None:
+        buckets: list[dict[int, list[GroupMap]]] = [{} for _ in range(G.order)]
+        for m in enumerate_symmetries(G, include_anti=with_anti):
+            for bucket, d in zip(buckets, m.images):
+                bucket.setdefault(d, []).append(m)
+        index = indexes[with_anti] = tuple(
+            {d: tuple(ms) for d, ms in bucket.items()} for bucket in buckets
+        )
+    return index
 
 
 @frozen
@@ -294,7 +292,7 @@ def symmetry_group(G: FiniteGroup) -> SymmetryGroup:
     Labels carry each map's kind ("aut" for product-preserving maps, "anti"
     for purely reversing ones) plus the map's position in the sorted list.
     """
-    count = len(_automorphism_images(G)) * (1 if G.flags.commutative else 2)
+    count = len(_symmetries(G)[0]) * (2 if _with_anti(G, True) else 1)
     if count > MAX_ORDER:
         raise GroupTooLarge(
             f"{G.name!r} has {count} symmetries; composition tables are kept "

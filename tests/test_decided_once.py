@@ -1,10 +1,11 @@
 """Facts that one piece of code decides, against references written here.
 
 Covered: the fraction-rule sweep answered from its identity (against an n^4
-loop over the table arithmetic), greedy generator choice through
-generated_subgroup (against a frozen copy of its former closure loop),
-duplicate labels in group files (left to build_group), and the order bound
-(one check, made by group files before any table work).
+loop over the table arithmetic), greedy generator choice, made once
+per group as G.generators (against a frozen copy of its former closure loop),
+map classification by one law loop (against a frozen copy with a separate
+anti-law loop), duplicate labels in group files (left to build_group), and
+the order bound (one check, made by group files before any table work).
 """
 
 import itertools
@@ -12,6 +13,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cfkit.formula
 from cfkit import (
@@ -21,13 +24,14 @@ from cfkit import (
     RoleAssignment,
     build_group,
     catalog,
+    classify_map,
+    enumerate_symmetries,
     parse_group_file,
     render_group_file,
     standard_group,
     verify_fraction_rule,
 )
 from cfkit.cli import main
-from cfkit.morphisms import _greedy_generators
 
 COMMUTATIVE_UP_TO_12 = [
     G for G in catalog().values() if G.order <= 12 and G.flags.commutative
@@ -178,7 +182,69 @@ def relabelled(G, seed):
 def test_greedy_generators_match_the_frozen_loop(G):
     groups = [G] + [relabelled(G, f"{G.name}-{k}") for k in range(3)]
     for H in groups:
-        assert _greedy_generators(H) == frozen_greedy_generators(H)
+        assert list(H.generators) == frozen_greedy_generators(H)
+
+
+# ---------------------------------------------------------------------------
+# map classification
+
+SMALL = [G for G in catalog().values() if G.order <= 8]
+
+
+def frozen_classify(G, H, images):
+    """classify_map's kind and bijectivity as it decided them with two law loops."""
+    imgs = tuple(images)
+    hom = all(
+        imgs[G.table[a][b]] == H.table[imgs[a]][imgs[b]]
+        for a in range(G.order)
+        for b in range(G.order)
+    )
+    anti = all(
+        imgs[G.table[a][b]] == H.table[imgs[b]][imgs[a]]
+        for a in range(G.order)
+        for b in range(G.order)
+    )
+    if hom and anti:
+        kind = "both"
+    elif hom:
+        kind = "hom"
+    elif anti:
+        kind = "anti"
+    else:
+        kind = "neither"
+    return kind, G.order == H.order and len(set(imgs)) == G.order
+
+
+def same_classification(G, H, images):
+    m = classify_map(G, H, images)
+    assert (m.kind, m.bijective) == frozen_classify(G, H, images)
+    return m.kind
+
+
+@pytest.mark.parametrize("G", SMALL, ids=lambda G: G.name)
+def test_one_law_loop_classifies_every_symmetry_as_before(G):
+    kinds = {same_classification(G, G, m.images) for m in enumerate_symmetries(G)}
+    assert kinds == ({"both"} if G.flags.commutative else {"hom", "anti"})
+
+
+def test_one_law_loop_classifies_maps_between_groups_as_before():
+    kinds = set()
+    for G in (G for G in SMALL if G.order <= 3):
+        for H in SMALL:
+            for images in itertools.product(range(H.order), repeat=G.order):
+                kinds.add(same_classification(G, H, images))
+    # Every source here is commutative, so a map that keeps one law keeps both.
+    assert kinds == {"both", "neither"}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_one_law_loop_classifies_drawn_maps_as_before(data):
+    G = data.draw(st.sampled_from(SMALL), label="G")
+    H = data.draw(st.sampled_from([G, *SMALL]), label="H")
+    image = st.integers(0, H.order - 1)
+    images = data.draw(st.lists(image, min_size=G.order, max_size=G.order), label="images")
+    same_classification(G, H, images)
 
 
 # ---------------------------------------------------------------------------

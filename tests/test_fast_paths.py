@@ -49,8 +49,7 @@ from cfkit import (
     standard_group,
     structure_flags,
 )
-from cfkit.formula import _symmetry_index
-from cfkit.morphisms import _SYMMETRY_CACHE_SIZE
+from cfkit.morphisms import _SYMMETRY_CACHE_SIZE, _symmetries
 
 
 def dihedral_four():
@@ -498,10 +497,10 @@ def test_realizations_after_the_cache_turns_over():
     assert first == reference_realizations(assignment, MOSKO) != ()
     for G in groups[1:]:
         same_answer(RoleAssignment(G, values, allow_repeats=True), MOSKO, True)
-    info = _symmetry_index.cache_info()
+    info = _symmetries.cache_info()
     assert info.currsize <= _SYMMETRY_CACHE_SIZE
     again = realizations(assignment, MOSKO)
-    assert _symmetry_index.cache_info().misses == info.misses + 1
+    assert _symmetries.cache_info().misses == info.misses + 1
     assert again == first == reference_realizations(assignment, MOSKO)
 
 

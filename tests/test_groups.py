@@ -204,6 +204,20 @@ def test_catalog_group_is_the_catalog_entry():
     assert list(catalog())[:4] == ["q8", "klein", "sign", "c2"]
 
 
+def test_changing_the_catalog_leaves_the_next_call_unchanged():
+    before = list(catalog().items())
+    changed = catalog()
+    del changed["q8"]
+    changed["c2"] = standard_group("klein")
+    changed["d4"] = standard_group("sign")
+    again = catalog()
+    assert again is not changed
+    assert list(again.items()) == before
+    assert all(G is before_G for (_, G), (_, before_G) in zip(again.items(), before))
+    for name, G in again.items():
+        assert G is catalog_group(name)
+
+
 def test_catalog_group_unknown_name_message():
     with pytest.raises(UnknownKind) as exc:
         catalog_group("d4")

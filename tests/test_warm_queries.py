@@ -27,8 +27,8 @@ from cfkit import (
     induced_partial_map,
     realizations,
 )
-from cfkit.formula import _symmetry_index, _with_inverses
-from cfkit.morphisms import _SYMMETRY_CACHE_SIZE, _symmetry_lists
+from cfkit.formula import _with_inverses
+from cfkit.morphisms import _SYMMETRY_CACHE_SIZE, _symmetries
 
 CATALOG = list(catalog().values())
 
@@ -80,9 +80,9 @@ def test_rebuilt_group_hits_the_same_index_entry():
     values = {"x": 0, "y": 2, "a": 4, "b": 6}
     first = realizations(RoleAssignment(G, values), CLASSIC)
     twin = build_group(G.name, G.elements, G.table)
-    before = _symmetry_index.cache_info()
+    before = _symmetries.cache_info()
     again = realizations(RoleAssignment(twin, values), CLASSIC)
-    after = _symmetry_index.cache_info()
+    after = _symmetries.cache_info()
     assert (after.hits, after.misses) == (before.hits + 1, before.misses)
     assert again == first != ()
 
@@ -154,6 +154,34 @@ def test_anti_lists_of_48_groups_stay_cached(monkeypatch):
     assert all(len(maps) == 48 for maps in again)
 
 
+def test_both_anti_flags_of_40_groups_share_their_entries(monkeypatch):
+    q8 = catalog()["q8"]
+    groups = [relabelled(q8, seed, f"q8-flags-{seed}") for seed in range(40)]
+    values = {"x": 0, "y": 2, "a": 4, "b": 6}
+
+    def ask():
+        return [
+            realizations(RoleAssignment(G, values), CLASSIC, allow_anti=anti)
+            for G in groups
+            for anti in (True, False)
+        ]
+
+    first = ask()
+    info = _symmetries.cache_info()
+    listed = []
+    enumerate_ = cfkit.morphisms.enumerate_symmetries
+
+    def counted(*args, **kwargs):
+        listed.append(args)
+        return enumerate_(*args, **kwargs)
+
+    monkeypatch.setattr(cfkit.morphisms, "enumerate_symmetries", counted)
+    assert ask() == first
+    assert _symmetries.cache_info().misses == info.misses
+    assert listed == []
+    assert any(len(with_anti) > len(without) for with_anti, without in zip(first[::2], first[1::2]))
+
+
 def test_65_groups_turn_the_cache_over():
     q8 = catalog()["q8"]
     groups = [
@@ -162,8 +190,8 @@ def test_65_groups_turn_the_cache_over():
     first = enumerate_symmetries(groups[0], include_anti=True)
     for G in groups[1:]:
         enumerate_symmetries(G, include_anti=True)
-    info = _symmetry_lists.cache_info()
+    info = _symmetries.cache_info()
     assert info.currsize <= _SYMMETRY_CACHE_SIZE
     rebuilt = enumerate_symmetries(groups[0], include_anti=True)
-    assert _symmetry_lists.cache_info().misses == info.misses + 1
+    assert _symmetries.cache_info().misses == info.misses + 1
     assert rebuilt == first and rebuilt is not first

@@ -4,7 +4,10 @@
 `__init__` over its annotated fields (class-level values are defaults) that
 calls `__post_init__` if the class has one, tuple-based `__eq__` and
 `__hash__`, a `Name(field=value, ...)` repr, `__match_args__`, and
-`__setattr__`/`__delattr__` that raise AttributeError.  The standard
+`__setattr__`/`__delattr__` that raise AttributeError.  The hash is the
+field-tuple hash, computed on first use and kept on the instance, so a cache
+keyed on a group walks the group's table once; records that hold a dict
+still raise TypeError.  The standard
 decorator's module imports `inspect` and `ast`, which made up a large share
 of the start-up time of every command-line call.
 """
@@ -28,7 +31,8 @@ def frozen(cls: type) -> type:
         "def __eq__(self, other):\n"
         f"  if other.__class__ is self.__class__:\n    return ({mine}) == ({theirs})\n"
         "  return NotImplemented\n"
-        f"def __hash__(self):\n  return hash(({mine}))\n"
+        "def __hash__(self):\n  try:\n    return self._hash\n  except AttributeError:\n    pass\n"
+        f"  value = hash(({mine}))\n  _setattr(self, '_hash', value)\n  return value\n"
     )
     namespace = {"_setattr": object.__setattr__, **{f"_dflt_{n}": v for n, v in defaults.items()}}
     exec(source, namespace)

@@ -16,6 +16,7 @@ from typing import Sequence
 from . import formula as cf
 from .dsl import parse_formula, parse_group_file, render_formula
 from .errors import InvalidAssignment, ToolkitError, UnknownKind, WorkLimitExceeded
+from .formula import MAX_ORBIT_STEPS
 from .groups import (
     FiniteGroup,
     catalog_group,
@@ -37,9 +38,6 @@ from .morphisms import (
 )
 
 _CITED_SYMMETRY_ORDER = "twenty-four"
-
-# cf-orbit builds one step record per step, so longer chains are refused.
-MAX_ORBIT_STEPS = 10**6
 
 
 def _load_group(args: argparse.Namespace) -> FiniteGroup:
@@ -274,23 +272,19 @@ def _cmd_cf_orbit(args) -> tuple[int, dict, list[str]]:
         payload = {"variant": variant.name, "formula": formula}
         payload.update(cf.chain_to_json(result))
         return 0, payload, []
-    # Steps in the same orbit state share their side and values objects, so
-    # each state's text is rendered once.
-    texts: dict[tuple[int, int], str] = {}
+    # Each orbit state's pair comes once, shared by its steps, so each
+    # state's text is built once.
+    texts: dict[tuple, str] = {}
     lines = [f"{variant.name}: {formula}"]
-    for step in result.steps:
-        key = (id(step.side), id(step.values))
-        text = texts.get(key)
+    for t, state in cf._rendered_steps(result):
+        text = texts.get(state)
         if text is None:
-            text = str(step.side)
-            if step.values is not None:
-                labels = ", ".join(
-                    f"{role}={assignment.group.label(v)}"
-                    for role, v in zip(cf.ROLES, step.values)
-                )
-                text = f"{text}   [{labels}]"
-            texts[key] = text
-        lines.append(f"step {step.step}: {text}")
+            side, labels = state
+            text = side
+            if labels is not None:
+                text += "   [" + ", ".join(map("{}={}".format, cf.ROLES, labels)) + "]"
+            texts[state] = text
+        lines.append(f"step {t}: {text}")
     lines.append(f"symbolic period: {result.symbolic_period}")
     if assignment is not None:
         lines.append(f"element period: {result.element_period}")

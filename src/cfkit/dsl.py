@@ -127,6 +127,8 @@ def parse_group_file(text: str) -> FiniteGroup:
         raise ParseError(
             f"invalid JSON: {exc.msg}", position=exc.pos, line=exc.lineno, column=exc.colno
         ) from None
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply") from None
     if not isinstance(payload, dict):
         raise ParseError("top level must be an object")
     missing = _GROUP_FILE_KEYS - payload.keys()

@@ -21,12 +21,15 @@ from .errors import (
     NonCommutativeGroup,
     UnknownKind,
     UnsatisfiableConstraint,
+    WorkLimitExceeded,
 )
 from .groups import FiniteGroup
-from .morphisms import GroupMap, _image_index, enumerate_symmetries
+from .morphisms import GroupMap, _symmetries_agreeing, enumerate_symmetries
 
 ROLES = ("x", "y", "a", "b")
 _ROLE_SET = frozenset(ROLES)
+# A chain holds one step record per step, so longer chains are refused.
+MAX_ORBIT_STEPS = 10**6
 
 
 @frozen
@@ -275,16 +278,10 @@ def realizations(
 ) -> tuple[GroupMap, ...]:
     """Symmetries whose restriction to the assigned elements matches the rule.
 
-    The maps with f(s) = d are looked up by (s, d) in an index of the cached
-    symmetry list; the smallest such bucket is filtered by all the pairs.
+    They are looked up in an (element, image) index of the cached symmetry
+    list, in the list's order.
     """
-    pairs = _induced_pairs(assignment, variant)
-    G = assignment.group
-    index = _image_index(G, allow_anti)
-    bucket = min((index[s].get(d, ()) for s, d in pairs), key=len)
-    pick = itemgetter(*(s for s, _ in pairs))
-    want = pick(dict(pairs))
-    return tuple(m for m in bucket if pick(m.images) == want)
+    return _symmetries_agreeing(assignment.group, _induced_pairs(assignment, variant), allow_anti)
 
 
 def enumerate_assignments(
@@ -381,9 +378,12 @@ def iterate_chain(
     Step t is the left side rewritten t times.  With an assignment, each step
     also carries the concrete (x, y, a, b) element values, and the least
     period of that value sequence is reported alongside the symbolic one.
+    More than MAX_ORBIT_STEPS steps raise WorkLimitExceeded before any work.
     """
     if not isinstance(steps, int) or isinstance(steps, bool) or steps < 1:
         raise ValueError("steps must be >= 1")
+    if steps > MAX_ORBIT_STEPS:
+        raise WorkLimitExceeded(f"steps {steps} is above the bound of {MAX_ORBIT_STEPS} steps")
     sides, picks, start = variant._orbit
     length = len(sides)
     # Step t is orbit state t up to `length`, then cycles through the states
@@ -456,11 +456,11 @@ def assignment_to_json(assignment: RoleAssignment) -> dict:
     return out
 
 
-def chain_to_json(result: ChainResult) -> dict:
-    # Steps in the same orbit state share their side and values objects, so
-    # each state is rendered once.
+def _rendered_steps(result: ChainResult):
+    """Each step number with its state's (side text, labels) pair: the steps
+    of an orbit state share their side and values objects, so each state is
+    rendered once, and its steps get the same pair object."""
     states: dict[tuple[int, int], tuple[str, Optional[tuple[str, ...]]]] = {}
-    steps = []
     for s in result.steps:
         key = (id(s.side), id(s.values))
         state = states.get(key)
@@ -469,10 +469,14 @@ def chain_to_json(result: ChainResult) -> dict:
             if s.values is not None:
                 labels = tuple(map(result.assignment.group.label, s.values))
             state = states[key] = (str(s.side), labels)
-        side, labels = state
-        steps.append(
-            {"step": s.step, "side": side, "tuple": None if labels is None else list(labels)}
-        )
+        yield s.step, state
+
+
+def chain_to_json(result: ChainResult) -> dict:
+    steps = [
+        {"step": t, "side": side, "tuple": None if labels is None else list(labels)}
+        for t, (side, labels) in _rendered_steps(result)
+    ]
     return {
         "steps": steps,
         "symbolic_period": result.symbolic_period,

@@ -39,9 +39,9 @@ class FiniteGroup:
     """Immutable group data: element labels and an index-valued product table.
 
     Values come from build_group, so the table is a validated group.  Facts
-    derived from it (inverses, element orders, flags, the hash) are computed
-    on first use and kept on the instance; they are not fields, so equality,
-    hashing and repr see only the table data.
+    derived from it (inverses, element orders, flags) are computed on first
+    use and kept on the instance, as every record keeps its hash; they are
+    not fields, so equality, hashing and repr see only the table data.
     """
 
     name: str
@@ -52,11 +52,6 @@ class FiniteGroup:
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    @cached_property
-    def _hash(self) -> int:
-        # The value the record's field-tuple hash gives, walked over the table once.
-        return hash((self.name, self.elements, self.table, self.identity))
 
     @cached_property
     def inverses(self) -> tuple[int, ...]:
@@ -110,15 +105,6 @@ class FiniteGroup:
                 f"index {g!r} outside [0, {len(self.elements)}) in group {self.name!r}"
             )
         return g
-
-
-def _cached_hash(group: FiniteGroup) -> int:
-    return group._hash
-
-
-# Group-keyed caches hash their key on every lookup, so a group hashes its
-# n x n table once and answers later calls from the instance.
-FiniteGroup.__hash__ = _cached_hash
 
 
 @frozen

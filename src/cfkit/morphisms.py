@@ -8,6 +8,7 @@ is applied first.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import itemgetter
 from typing import Sequence
 
 from ._record import frozen
@@ -215,24 +216,33 @@ def _bijective_homomorphisms(
 
 
 @lru_cache(maxsize=_SYMMETRY_CACHE_SIZE)
-def _symmetries(G: FiniteGroup) -> tuple[tuple[tuple[int, ...], ...], dict, dict]:
+def _symmetries(G: FiniteGroup) -> tuple[tuple[tuple[int, ...], ...], dict]:
     """G's symmetry data, in one entry per group so the bound counts groups.
 
     The automorphism images are searched when the entry is made.  The
-    classified list for each anti flag (see _with_anti) and each list's
-    (element, image) index are added on first request.
+    classified list for each anti flag (see _with_anti) is added on first
+    request, with its (element, image) index: index[s][d] holds the maps
+    with f(s) = d, in the list's order.
     """
     if G.order > MAX_SYMMETRY_BASE:
         raise GroupTooLarge(
             f"symmetry enumeration supports orders up to {MAX_SYMMETRY_BASE}, got {G.order}"
         )
-    return tuple(_bijective_homomorphisms(G, G)), {}, {}
+    return tuple(_bijective_homomorphisms(G, G)), {}
 
 
 def _with_anti(G: FiniteGroup, include_anti: bool) -> bool:
     """Whether a request adds anti-automorphisms: on a commutative group they
     are the automorphisms."""
     return bool(include_anti) and not G.flags.commutative
+
+
+def _indexed(G: FiniteGroup, maps: tuple[GroupMap, ...]) -> tuple[tuple[GroupMap, ...], tuple]:
+    index: tuple[dict[int, list[GroupMap]], ...] = tuple({} for _ in range(G.order))
+    for m in maps:
+        for bucket, d in zip(index, m.images):
+            bucket.setdefault(d, []).append(m)
+    return maps, index
 
 
 def enumerate_symmetries(G: FiniteGroup, include_anti: bool = True) -> tuple[GroupMap, ...]:
@@ -242,33 +252,31 @@ def enumerate_symmetries(G: FiniteGroup, include_anti: bool = True) -> tuple[Gro
     with kind "both".  Output is sorted lexicographically by image sequence.
     Each list is built, and each of its maps classified, once per group.
     """
-    images, lists, _ = _symmetries(G)
+    images, lists = _symmetries(G)
     with_anti = _with_anti(G, include_anti)
     if False not in lists:
-        lists[False] = tuple(classify_map(G, G, imgs) for imgs in images)
+        lists[False] = _indexed(G, tuple(classify_map(G, G, imgs) for imgs in images))
     if with_anti not in lists:
         # Every anti-automorphism is (automorphism o inversion), so the second
         # family comes from composing rather than from a second search.
-        autos, inv = lists[False], G.inverses
+        autos, inv = lists[False][0], G.inverses
         anti = [classify_map(G, G, tuple(m.images[i] for i in inv)) for m in autos]
-        lists[True] = tuple(sorted((*autos, *anti), key=lambda m: m.images))
-    return lists[with_anti]
+        lists[True] = _indexed(G, tuple(sorted((*autos, *anti), key=lambda m: m.images)))
+    return lists[with_anti][0]
 
 
-def _image_index(G: FiniteGroup, include_anti: bool) -> tuple[dict, ...]:
-    """index[s][d]: the symmetries with f(s) = d, in the list's order."""
-    indexes = _symmetries(G)[2]
+def _symmetries_agreeing(G: FiniteGroup, pairs: tuple, include_anti: bool) -> tuple[GroupMap, ...]:
+    """The symmetries f with f(s) = d for each of the (non-empty, functional)
+    pairs, in list order: the smallest index bucket of a pair, filtered."""
+    lists = _symmetries(G)[1]
     with_anti = _with_anti(G, include_anti)
-    index = indexes.get(with_anti)
-    if index is None:
-        buckets: list[dict[int, list[GroupMap]]] = [{} for _ in range(G.order)]
-        for m in enumerate_symmetries(G, include_anti=with_anti):
-            for bucket, d in zip(buckets, m.images):
-                bucket.setdefault(d, []).append(m)
-        index = indexes[with_anti] = tuple(
-            {d: tuple(ms) for d, ms in bucket.items()} for bucket in buckets
-        )
-    return index
+    if with_anti not in lists:
+        enumerate_symmetries(G, include_anti=with_anti)
+    index = lists[with_anti][1]
+    bucket = min((index[s].get(d, ()) for s, d in pairs), key=len)
+    pick = itemgetter(*(s for s, _ in pairs))
+    want = pick(dict(pairs))
+    return tuple(m for m in bucket if pick(m.images) == want)
 
 
 @frozen

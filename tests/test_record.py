@@ -3,6 +3,7 @@
 Each record class is compared with a `dataclass(frozen=True)` twin built from
 the same annotations, defaults and `__post_init__`: constructor signature,
 repr, equality, hashing, immutability errors, validation and match args.
+Every record hashes its fields once and keeps the value.
 """
 
 import dataclasses
@@ -38,6 +39,7 @@ from cfkit import (
     iterate_chain,
     symmetry_group,
 )
+from cfkit._record import frozen
 
 Q8 = catalog()["q8"]
 KLEIN = catalog()["klein"]
@@ -154,6 +156,34 @@ def test_records_holding_a_dict_are_unhashable():
         for value in (record, twin):
             with pytest.raises(TypeError, match="unhashable type: 'dict'"):
                 hash(value)
+
+
+@pytest.mark.parametrize("cls", list(SAMPLES), ids=lambda c: c.__name__)
+def test_hash_is_the_field_tuple_hash_and_is_kept(cls):
+    for sample in SAMPLES[cls]:
+        fresh = cls(*_fields(sample))
+        want = _outcome(lambda: hash(_fields(sample)))
+        for record in (sample, fresh, fresh):
+            assert _outcome(lambda: hash(record)) == want
+
+
+def test_every_record_hashes_its_fields_once():
+    class Counted:
+        calls = 0
+
+        def __hash__(self):
+            Counted.calls += 1
+            return 7
+
+    @frozen
+    class Probe:
+        value: Counted
+        label: str = "p"
+
+    probe = Probe(Counted())
+    first = hash(probe)
+    assert hash(probe) == first and Counted.calls == 1
+    assert first == hash((probe.value, "p"))
 
 
 @pytest.mark.parametrize("cls", list(INVALID), ids=lambda c: c.__name__)

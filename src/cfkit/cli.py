@@ -1,7 +1,8 @@
 """Command-line surface.
 
 Exit codes: 0 = the command succeeded / the checked property holds,
-1 = the property was checked and found false, 2 = usage or input error.
+1 = the property was checked and found false, 2 = usage or input error,
+141 = the reader closed standard output before all of it was written.
 JSON mode (--json) emits a single object with sorted keys, so identical
 invocations produce byte-identical output.
 """
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Sequence
 
@@ -25,6 +27,8 @@ from .groups import (
     structure_flags,
 )
 from .morphisms import (
+    KIND_ANTI,
+    KIND_HOM,
     GroupMap,
     classify_map,
     compose_maps,
@@ -38,6 +42,8 @@ from .morphisms import (
 )
 
 _CITED_SYMMETRY_ORDER = "twenty-four"
+# What a shell reports for a process that SIGPIPE ends: 128 + 13.
+EXIT_BROKEN_PIPE = 141
 
 
 def _load_group(args: argparse.Namespace) -> FiniteGroup:
@@ -54,7 +60,8 @@ def _load_variant(args: argparse.Namespace) -> cf.CFVariant:
     return cf.variant_by_name(args.variant)
 
 
-def _parse_assignment_pairs(text: str) -> dict[str, str]:
+def _parse_role_values(G: FiniteGroup, text: str) -> dict[str, int]:
+    """The role=label pairs of --assign or --pin, as element indices of G."""
     pairs: dict[str, str] = {}
     for chunk in text.split(","):
         role, sep, label = chunk.partition("=")
@@ -66,13 +73,11 @@ def _parse_assignment_pairs(text: str) -> dict[str, str]:
         if role in pairs:
             raise InvalidAssignment(f"role {role!r} assigned twice")
         pairs[role] = label
-    return pairs
+    return {role: G.index_of(label) for role, label in pairs.items()}
 
 
 def _parse_assignment(G: FiniteGroup, text: str, allow_repeats: bool) -> cf.RoleAssignment:
-    pairs = _parse_assignment_pairs(text)
-    values = {role: G.index_of(label) for role, label in pairs.items()}
-    return cf.RoleAssignment(G, values, allow_repeats=allow_repeats)
+    return cf.RoleAssignment(G, _parse_role_values(G, text), allow_repeats=allow_repeats)
 
 
 def _named_map(G: FiniteGroup, name: str) -> GroupMap:
@@ -150,7 +155,7 @@ def _cmd_symmetry_group(args) -> tuple[int, dict, list[str]]:
     G = _load_group(args)
     sym = symmetry_group(G)
     n_auto = sum(1 for m in sym.maps if m.preserves_products)
-    n_anti = sum(1 for m in sym.maps if m.kind == "anti")
+    n_anti = sum(1 for m in sym.maps if m.kind == KIND_ANTI)
     payload = {
         "group": G.name,
         "order": len(sym.maps),
@@ -223,12 +228,7 @@ def _cmd_cf_check(args) -> tuple[int, dict, list[str]]:
 def _cmd_cf_enumerate(args) -> tuple[int, dict, list[str]]:
     G = _load_group(args)
     variant = _load_variant(args)
-    pins: dict[str, int] = {}
-    if args.pin:
-        pins = {
-            role: G.index_of(label)
-            for role, label in _parse_assignment_pairs(args.pin).items()
-        }
+    pins = _parse_role_values(G, args.pin) if args.pin else {}
     results = cf.enumerate_assignments(
         G,
         variant,
@@ -260,11 +260,11 @@ def _cmd_cf_orbit(args) -> tuple[int, dict, list[str]]:
             f"--steps {args.steps} is above the bound of {MAX_ORBIT_STEPS} steps"
         )
     variant = _load_variant(args)
+    G = _load_group(args) if args.group or args.file else None
     assignment = None
     if args.assign:
-        if not (args.group or args.file):
+        if G is None:
             raise InvalidAssignment("--assign needs --group or --file")
-        G = _load_group(args)
         assignment = _parse_assignment(G, args.assign, args.allow_repeats)
     result = cf.iterate_chain(variant, args.steps, assignment)
     formula = render_formula(variant)
@@ -345,11 +345,11 @@ def _cmd_demo(args) -> tuple[int, dict, list[str]]:
         "lambda(k)*lambda(j)": (mul(lab(lam(idx("k"))), lab(lam(idx("j")))), "k"),
     }
     lam_ok = (
-        lam.kind == "anti"
+        lam.kind == KIND_ANTI
         and lam.bijective
         and all(got == expected for got, expected in lam_product_checks.values())
     )
-    sig_ok = sig.kind == "anti" and sig.bijective
+    sig_ok = sig.kind == KIND_ANTI and sig.bijective
     tau_order = 1
     power = tau
     identity_images = tuple(range(q8.order))
@@ -357,7 +357,7 @@ def _cmd_demo(args) -> tuple[int, dict, list[str]]:
         power = compose_maps(tau, power)
         tau_order += 1
     tau_outer = is_outer(tau)
-    tau_ok = tau.kind == "hom" and tau.bijective and tau_order == 3 and tau_outer
+    tau_ok = tau.kind == KIND_HOM and tau.bijective and tau_order == 3 and tau_outer
 
     composed = compose_maps(tau, sig)
     composition_ok = composed.images == lam.images
@@ -376,7 +376,7 @@ def _cmd_demo(args) -> tuple[int, dict, list[str]]:
 
     maps = enumerate_symmetries(q8, include_anti=True)
     n_auto = sum(1 for m in maps if m.preserves_products)
-    n_anti = sum(1 for m in maps if m.kind == "anti")
+    n_anti = sum(1 for m in maps if m.kind == KIND_ANTI)
     census_ok = n_auto == n_anti and len(maps) == n_auto + n_anti
 
     ok = all(
@@ -533,11 +533,18 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ToolkitError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        for line in lines:
-            print(line)
+    try:
+        if args.json:
+            print(json.dumps(payload, indent=2, sort_keys=True))
+        else:
+            for line in lines:
+                print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader left (as `| head` does).  The interpreter flushes stdout
+        # again on exit, so point it at devnull to keep that flush quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     return code
 
 

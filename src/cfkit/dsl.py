@@ -45,8 +45,8 @@ class _Scanner:
 
     def term(self) -> RoleTerm:
         self.skip_ws()
-        if self.pos >= len(self.text) or self.text[self.pos] not in "xyab":
-            raise ParseError("expected a role (one of x, y, a, b)", position=self.pos)
+        if self.pos >= len(self.text) or self.text[self.pos] not in ROLES:
+            raise ParseError(f"expected a role (one of {', '.join(ROLES)})", position=self.pos)
         role = self.text[self.pos]
         self.pos += 1
         return RoleTerm(role, self.try_take("^-1"))

@@ -397,8 +397,7 @@ def iterate_chain(
     values: list[Optional[tuple[int, int, int, int]]] = [None] * length
     element_period = None
     if assignment is not None:
-        initial = tuple(assignment.values[role] for role in ROLES)
-        both = _with_inverses(assignment.group, initial)
+        both = _with_inverses(assignment.group, _role_values(assignment.values))
         values = [pick(both) for pick in picks]
         first = values[0]
         element_period = next(
@@ -433,8 +432,7 @@ def verify_fraction_rule(G: FiniteGroup, assignment: RoleAssignment) -> bool:
         raise NonCommutativeGroup(
             f"group {G.name!r} is not commutative; the ratio reading is undefined"
         )
-    v = assignment.values
-    x, y, a, b = v["x"], v["y"], v["a"], v["b"]
+    x, y, a, b = _role_values(assignment.values)
     t, inv = G.table, G.inverses
     lhs = t[t[x][inv[a]]][inv[t[y][inv[b]]]]
     rhs = t[t[x][inv[y]]][inv[t[inv[b]][a]]]

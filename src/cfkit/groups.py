@@ -72,9 +72,16 @@ class FiniteGroup:
 
     @cached_property
     def generators(self) -> tuple[int, ...]:
-        """Greedy generators, the ones Light's test checks: each is the least
-        element outside the subgroup the ones before generate."""
-        return _greedy_generators(self.table, self.identity)
+        """Greedy generators, chosen when build_group runs Light's test on
+        them: each is the least element outside the subgroup the ones before
+        generate."""
+        gens: list[int] = []
+        closure = {self.identity}
+        for g in range(self.order):
+            if g not in closure:
+                gens.append(g)
+                closure = _closure(self.table, self.identity, gens)
+        return tuple(gens)
 
     @cached_property
     def flags(self) -> StructureFlags:
@@ -186,7 +193,8 @@ def build_group(
         if not any(rows[g][h] == found and rows[h][g] == found for h in range(n)):
             raise MissingInverse(f"element {g} ({labels[g]!r}) has no two-sided inverse")
 
-    if not _associative(rows, found):
+    G = FiniteGroup(name, labels, rows, found)
+    if not _associative(G):
         # Name the lexicographically first failing triple.
         for a in range(n):
             for b in range(n):
@@ -201,8 +209,7 @@ def build_group(
                             f"but {labels[a]}*({labels[b]}*{labels[c]}) = "
                             f"{labels[row_a[rows[b][c]]]!r}"
                         )
-
-    return FiniteGroup(name, labels, rows, found)
+    return G
 
 
 def _closure(rows: Sequence[Sequence[int]], identity: int, gens: Sequence[int]) -> set[int]:
@@ -219,26 +226,15 @@ def _closure(rows: Sequence[Sequence[int]], identity: int, gens: Sequence[int]) 
     return members
 
 
-def _greedy_generators(rows: Sequence[Sequence[int]], identity: int) -> tuple[int, ...]:
-    """Generators taken greedily: each is the least element outside the
-    closure of the ones before, which starts as the identity alone."""
-    gens: list[int] = []
-    closure = {identity}
-    for g in range(len(rows)):
-        if g not in closure:
-            gens.append(g)
-            closure = _closure(rows, identity, gens)
-    return tuple(gens)
-
-
-def _associative(rows: tuple[tuple[int, ...], ...], identity: int) -> bool:
+def _associative(G: FiniteGroup) -> bool:
     """Light's associativity test (Clifford & Preston, The Algebraic Theory of
     Semigroups I, section 1.2).
 
     The elements g with (x*g)*y = x*(g*y) for all x, y are closed under
     products, so testing the greedy generators decides associativity.
     """
-    for g in _greedy_generators(rows, identity):
+    rows = G.table
+    for g in G.generators:
         # Row x of (x*g)*y is row x*g; row x of x*(g*y) is row x read at row g.
         via_g = itemgetter(*rows[g])
         if any(rows[row[g]] != via_g(row) for row in rows):

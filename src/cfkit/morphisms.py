@@ -2,7 +2,7 @@
 
 A GroupMap records images by source index plus the outcome of checking both
 multiplication laws.  Composition follows (f o g)(x) = f(g(x)): the inner map
-is applied first.
+is applied first.  Every composition of images here goes through _compose.
 """
 
 from __future__ import annotations
@@ -65,6 +65,11 @@ class GroupMap:
         return self.bijective and self.source == self.target and self.preserves_products
 
 
+def _compose(outer: Sequence[int], inner: Sequence[int]) -> tuple[int, ...]:
+    """Images of outer o inner: inner runs first."""
+    return tuple(map(outer.__getitem__, inner))
+
+
 def _hom_law_holds(G: FiniteGroup, H: FiniteGroup, images: Sequence[int]) -> bool:
     for a in range(G.order):
         for b in range(G.order):
@@ -83,7 +88,7 @@ def classify_map(G: FiniteGroup, H: FiniteGroup, images: Sequence[int]) -> Group
             raise IndexOutOfRange(f"image {v!r} is not an index in [0, {H.order})")
     hom = _hom_law_holds(G, H, imgs)
     # f reverses products exactly when g -> f(g^-1) preserves them.
-    anti = _hom_law_holds(G, H, tuple(imgs[g] for g in G.inverses))
+    anti = _hom_law_holds(G, H, _compose(imgs, G.inverses))
     if hom and anti:
         kind = KIND_BOTH
     elif hom:
@@ -122,8 +127,7 @@ def compose_maps(outer: GroupMap, inner: GroupMap) -> GroupMap:
             f"cannot compose: inner map lands in {inner.target.name!r} "
             f"but outer map starts from {outer.source.name!r}"
         )
-    composed = tuple(outer.images[v] for v in inner.images)
-    result = classify_map(inner.source, outer.target, composed)
+    result = classify_map(inner.source, outer.target, _compose(outer.images, inner.images))
     expected = _possible_kinds(outer.kind, inner.kind)
     if expected is not None and result.kind not in expected:
         raise KindMismatch(
@@ -260,7 +264,7 @@ def enumerate_symmetries(G: FiniteGroup, include_anti: bool = True) -> tuple[Gro
         # Every anti-automorphism is (automorphism o inversion), so the second
         # family comes from composing rather than from a second search.
         autos, inv = lists[False][0], G.inverses
-        anti = [classify_map(G, G, tuple(m.images[i] for i in inv)) for m in autos]
+        anti = [classify_map(G, G, _compose(m.images, inv)) for m in autos]
         lists[True] = _indexed(G, tuple(sorted((*autos, *anti), key=lambda m: m.images)))
     return lists[with_anti][0]
 
@@ -308,19 +312,11 @@ def symmetry_group(G: FiniteGroup) -> SymmetryGroup:
         )
     maps = enumerate_symmetries(G, include_anti=True)
     index = {m.images: i for i, m in enumerate(maps)}
-    n = G.order
-    table = []
-    for f in maps:
-        row = []
-        for g in maps:
-            composed = tuple(f.images[g.images[x]] for x in range(n))
-            row.append(index[composed])
-        table.append(tuple(row))
+    table = tuple(tuple(index[_compose(f.images, g.images)] for g in maps) for f in maps)
     labels = tuple(
-        ("aut" if m.kind in (KIND_HOM, KIND_BOTH) else "anti") + str(i)
-        for i, m in enumerate(maps)
+        ("aut" if m.preserves_products else "anti") + str(i) for i, m in enumerate(maps)
     )
-    as_group = build_group(f"sym({G.name})", labels, tuple(table), index[tuple(range(n))])
+    as_group = build_group(f"sym({G.name})", labels, table, index[tuple(range(G.order))])
     return SymmetryGroup(G, maps, as_group)
 
 

@@ -1,8 +1,18 @@
 """Exit-code contract and output determinism of the command line."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
-from cfkit.cli import main
+import pytest
+
+from cfkit import UnknownKind
+from cfkit.cli import EXIT_BROKEN_PIPE, main
+from cfkit.groups import catalog_group
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run(capsys, *argv):
@@ -102,6 +112,33 @@ def test_zero_steps_is_exit_two(capsys):
     code, _, err = run(capsys, "cf-orbit", "--variant", "classic", "--steps", "0")
     assert code == 2
     assert "steps" in err
+
+
+def test_cf_orbit_loads_a_named_group_without_an_assignment(capsys):
+    with pytest.raises(UnknownKind) as unknown:
+        catalog_group("nosuch")
+    with pytest.raises(OSError) as missing:
+        open("/nonexistent", encoding="utf-8")
+    cases = ((("--group", "nosuch"), unknown), (("--file", "/nonexistent"), missing))
+    for flags, exc in cases:
+        code, out, err = run(capsys, "cf-orbit", "--variant", "classic", *flags)
+        assert (code, out, err) == (2, "", f"error: {exc.value}\n")
+        # The steps bound is still checked first.
+        code, _, err = run(capsys, "cf-orbit", "--variant", "classic", "--steps", "1000001", *flags)
+        assert code == 2 and "1000001" in err
+
+
+def test_closed_reader_is_a_quiet_nonzero_exit():
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    argv = [sys.executable, "-m", "cfkit", "cf-orbit", "--variant", "classic", "--steps", "100000"]
+    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert first == b"classic: F_x(a):F_y(b) => F_x(b):F_a^-1(y)\n"
+    assert err == b""
+    assert proc.returncode == EXIT_BROKEN_PIPE != 0
 
 
 def test_too_many_steps_is_exit_two_before_any_chain(capsys, monkeypatch):

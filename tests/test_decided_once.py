@@ -2,7 +2,8 @@
 
 Covered: the fraction-rule sweep answered from its identity (against an n^4
 loop over the table arithmetic), greedy generator choice, made once
-per group as G.generators (against a frozen copy of its former closure loop),
+per group as G.generators (against a frozen copy of its former closure loop;
+validation and a cold search share that one choice),
 map classification by one law loop (against a frozen copy with a separate
 anti-law loop), duplicate labels in group files (left to build_group), and
 the order bound (one check, made by group files before any table work).
@@ -17,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cfkit.formula
+import cfkit.groups
 from cfkit import (
     DuplicateLabel,
     GroupTooLarge,
@@ -183,6 +185,27 @@ def test_greedy_generators_match_the_frozen_loop(G):
     groups = [G] + [relabelled(G, f"{G.name}-{k}") for k in range(3)]
     for H in groups:
         assert list(H.generators) == frozen_greedy_generators(H)
+
+
+ONCE = [(G.name, G) for G in catalog().values() if G.order <= 16]
+ONCE.append(("q8-relabelled", relabelled(catalog()["q8"], "q8-generators-once")))
+
+
+@pytest.mark.parametrize("G", [G for _, G in ONCE], ids=[name for name, _ in ONCE])
+def test_generators_are_chosen_once(G, monkeypatch):
+    # Validation and a cold search on a fresh group each need the generators;
+    # each greedy pick takes one closure, so one choice costs len(generators).
+    closure = cfkit.groups._closure
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return closure(*args)
+
+    monkeypatch.setattr(cfkit.groups, "_closure", counted)
+    H = build_group(f"{G.name}-generators-once", G.elements, G.table, G.identity)
+    enumerate_symmetries(H, include_anti=True)
+    assert len(calls) == len(H.generators) > 0
 
 
 # ---------------------------------------------------------------------------

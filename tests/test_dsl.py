@@ -97,6 +97,18 @@ def test_group_file_schema_errors():
         parse_group_file("[1, 2]")
 
 
+@pytest.mark.parametrize(
+    "table",
+    [[["e", "a"], ["a"]], [["e", "a"]], [["e", "a"], ["a", "e", "e"]]],
+    ids=["short-row", "missing-row", "long-row"],
+)
+def test_group_file_with_a_ragged_table_names_the_table(table):
+    text = json.dumps({"name": "x", "elements": ["e", "a"], "identity": "e", "table": table})
+    with pytest.raises(ParseError, match="must be 2x2 to match the element list") as excinfo:
+        parse_group_file(text)
+    assert excinfo.value.field == "table"
+
+
 # ---------------------------------------------------------------------------
 # formula parsing
 

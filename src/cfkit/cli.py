@@ -13,7 +13,8 @@ import argparse
 import json
 import os
 import sys
-from typing import Sequence
+from itertools import chain, islice
+from typing import Iterable, Sequence
 
 from . import formula as cf
 from .dsl import parse_formula, parse_group_file, render_formula
@@ -101,7 +102,8 @@ def _map_summary(m: GroupMap) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers.  Each returns (exit_code, json_payload, text_lines).
+# Subcommand handlers.  Each returns (exit_code, json_payload, text_lines);
+# text_lines may be any iterable, so long output is made as it is written.
 
 
 def _cmd_check_group(args) -> tuple[int, dict, list[str]]:
@@ -254,7 +256,7 @@ def _cmd_cf_enumerate(args) -> tuple[int, dict, list[str]]:
     return (0 if results else 1), payload, lines
 
 
-def _cmd_cf_orbit(args) -> tuple[int, dict, list[str]]:
+def _cmd_cf_orbit(args) -> tuple[int, dict, Iterable[str]]:
     if args.steps > MAX_ORBIT_STEPS:
         raise WorkLimitExceeded(
             f"--steps {args.steps} is above the bound of {MAX_ORBIT_STEPS} steps"
@@ -269,26 +271,18 @@ def _cmd_cf_orbit(args) -> tuple[int, dict, list[str]]:
     result = cf.iterate_chain(variant, args.steps, assignment)
     formula = render_formula(variant)
     if args.json:
-        payload = {"variant": variant.name, "formula": formula}
-        payload.update(cf.chain_to_json(result))
-        return 0, payload, []
-    # Each orbit state's pair comes once, shared by its steps, so each
-    # state's text is built once.
-    texts: dict[tuple, str] = {}
-    lines = [f"{variant.name}: {formula}"]
-    for t, state in cf._rendered_steps(result):
-        text = texts.get(state)
-        if text is None:
-            side, labels = state
-            text = side
-            if labels is not None:
-                text += "   [" + ", ".join(map("{}={}".format, cf.ROLES, labels)) + "]"
-            texts[state] = text
-        lines.append(f"step {t}: {text}")
-    lines.append(f"symbolic period: {result.symbolic_period}")
+        return 0, {"variant": variant.name, "formula": formula, **cf.chain_to_json(result)}, []
+
+    def state_text(side: str, labels) -> str:
+        if labels is None:
+            return side
+        return side + "   [" + ", ".join(map("{}={}".format, cf.ROLES, labels)) + "]"
+
+    steps = (f"step {t}: {text}" for t, text in cf._rendered_steps(result, state_text))
+    tail = [f"symbolic period: {result.symbolic_period}"]
     if assignment is not None:
-        lines.append(f"element period: {result.element_period}")
-    return 0, {}, lines
+        tail.append(f"element period: {result.element_period}")
+    return 0, {}, chain([f"{variant.name}: {formula}"], steps, tail)
 
 
 def _cmd_fraction_rule(args) -> tuple[int, dict, list[str]]:
@@ -535,7 +529,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     try:
         if args.json:
-            print(json.dumps(payload, indent=2, sort_keys=True))
+            # The pure-Python encoder json.dumps uses whenever indent is set,
+            # so the bytes are the same; 4,096 chunks per write keep it fast.
+            chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload)
+            for block in iter(lambda: list(islice(chunks, 4096)), []):
+                sys.stdout.write("".join(block))
+            sys.stdout.write("\n")
         else:
             for line in lines:
                 print(line)

@@ -454,26 +454,27 @@ def assignment_to_json(assignment: RoleAssignment) -> dict:
     return out
 
 
-def _rendered_steps(result: ChainResult):
-    """Each step number with its state's (side text, labels) pair: the steps
-    of an orbit state share their side and values objects, so each state is
-    rendered once, and its steps get the same pair object."""
-    states: dict[tuple[int, int], tuple[str, Optional[tuple[str, ...]]]] = {}
+def _rendered_steps(result: ChainResult, render: Callable):
+    """Each step number with render(side text, value labels) for its orbit
+    state; labels is a list, or None without an assignment.  The steps of a
+    state share their side and values objects, so render runs once per state
+    and its steps share the result."""
+    states: dict[tuple[int, int], object] = {}
     for s in result.steps:
         key = (id(s.side), id(s.values))
         state = states.get(key)
         if state is None:
-            labels = None
-            if s.values is not None:
-                labels = tuple(map(result.assignment.group.label, s.values))
-            state = states[key] = (str(s.side), labels)
+            labels = None if s.values is None else list(map(result.assignment.group.label, s.values))
+            state = states[key] = render(str(s.side), labels)
         yield s.step, state
 
 
 def chain_to_json(result: ChainResult) -> dict:
+    """Wire form of a chain; the steps of one orbit state share their
+    "tuple" list."""
     steps = [
-        {"step": t, "side": side, "tuple": None if labels is None else list(labels)}
-        for t, (side, labels) in _rendered_steps(result)
+        {"step": t, "side": side, "tuple": labels}
+        for t, (side, labels) in _rendered_steps(result, lambda *state: state)
     ]
     return {
         "steps": steps,

@@ -160,8 +160,6 @@ def _bijective_homomorphisms(
 ) -> list[tuple[int, ...]]:
     """Backtracking search over generator images with closure propagation."""
     n = G.order
-    if n != H.order:
-        return []
     src_orders, dst_orders = G.orders, H.orders
     if sorted(src_orders) != sorted(dst_orders):
         return []
@@ -200,8 +198,6 @@ def _bijective_homomorphisms(
             results.append(tuple(images[g] for g in range(n)))
             return limit is not None and len(results) >= limit
         g = gens[depth]
-        if g in images:
-            return dfs(depth + 1)
         for h in range(n):
             if h in used or dst_orders[h] != src_orders[g]:
                 continue
@@ -331,7 +327,7 @@ def inner_automorphisms(G: FiniteGroup) -> tuple[GroupMap, ...]:
 
 def is_outer(f: GroupMap) -> bool:
     """True when f is an automorphism that is not any conjugation."""
-    if f.source != f.target or not f.bijective or not f.preserves_products:
+    if not f.is_automorphism():
         raise NotAutomorphism("outer/inner status is only defined for automorphisms")
     inner = {m.images for m in inner_automorphisms(f.source)}
     return f.images not in inner

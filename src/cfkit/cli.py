@@ -14,33 +14,25 @@ import json
 import os
 import sys
 from itertools import chain, islice
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-from . import formula as cf
-from .dsl import parse_formula, parse_group_file, render_formula
 from .errors import InvalidAssignment, ToolkitError, UnknownKind, WorkLimitExceeded
-from .formula import MAX_ORBIT_STEPS
 from .groups import (
+    MAX_ORBIT_STEPS,
     FiniteGroup,
     catalog_group,
     generated_subgroup,
     standard_group,
     structure_flags,
 )
-from .morphisms import (
-    KIND_ANTI,
-    KIND_HOM,
-    GroupMap,
-    classify_map,
-    compose_maps,
-    enumerate_symmetries,
-    identity_map,
-    inversion_map,
-    is_outer,
-    map_to_json,
-    q8_symmetry,
-    symmetry_group,
-)
+
+if TYPE_CHECKING:
+    from .formula import CFVariant, RoleAssignment
+    from .morphisms import GroupMap
+
+# Each handler imports the modules it calls, and the parser builds only the
+# arguments of the subcommand being parsed, so a call loads no module that
+# its subcommand does not run.
 
 _CITED_SYMMETRY_ORDER = "twenty-four"
 # What a shell reports for a process that SIGPIPE ends: 128 + 13.
@@ -51,37 +43,49 @@ def _load_group(args: argparse.Namespace) -> FiniteGroup:
     if getattr(args, "file", None):
         with open(args.file, encoding="utf-8") as fh:
             text = fh.read()
+        from .dsl import parse_group_file
+
         return parse_group_file(text)
     return catalog_group(args.group)
 
 
-def _load_variant(args: argparse.Namespace) -> cf.CFVariant:
+def _load_variant(args: argparse.Namespace) -> CFVariant:
     if getattr(args, "formula", None):
+        from .dsl import parse_formula
+
         return parse_formula(args.formula)
-    return cf.variant_by_name(args.variant)
+    from .formula import variant_by_name
+
+    return variant_by_name(args.variant)
 
 
 def _parse_role_values(G: FiniteGroup, text: str) -> dict[str, int]:
     """The role=label pairs of --assign or --pin, as element indices of G."""
+    from .formula import ROLES
+
     pairs: dict[str, str] = {}
     for chunk in text.split(","):
         role, sep, label = chunk.partition("=")
         role = role.strip()
         if not sep or not label:
             raise InvalidAssignment(f"bad assignment chunk {chunk!r}; use role=<label>")
-        if role not in cf.ROLES:
-            raise InvalidAssignment(f"unknown role {role!r}; roles are {', '.join(cf.ROLES)}")
+        if role not in ROLES:
+            raise InvalidAssignment(f"unknown role {role!r}; roles are {', '.join(ROLES)}")
         if role in pairs:
             raise InvalidAssignment(f"role {role!r} assigned twice")
         pairs[role] = label
     return {role: G.index_of(label) for role, label in pairs.items()}
 
 
-def _parse_assignment(G: FiniteGroup, text: str, allow_repeats: bool) -> cf.RoleAssignment:
-    return cf.RoleAssignment(G, _parse_role_values(G, text), allow_repeats=allow_repeats)
+def _parse_assignment(G: FiniteGroup, text: str, allow_repeats: bool) -> RoleAssignment:
+    from .formula import RoleAssignment
+
+    return RoleAssignment(G, _parse_role_values(G, text), allow_repeats=allow_repeats)
 
 
 def _named_map(G: FiniteGroup, name: str) -> GroupMap:
+    from .morphisms import identity_map, inversion_map, q8_symmetry
+
     if G == standard_group("q8"):
         return q8_symmetry(name)
     if name == "id":
@@ -103,7 +107,8 @@ def _map_summary(m: GroupMap) -> str:
 
 # ---------------------------------------------------------------------------
 # Subcommand handlers.  Each returns (exit_code, json_payload, text_lines);
-# text_lines may be any iterable, so long output is made as it is written.
+# text_lines may be any iterable, so long output is made as it is written,
+# and json_payload is a dict or the chunks of the already encoded document.
 
 
 def _cmd_check_group(args) -> tuple[int, dict, list[str]]:
@@ -127,6 +132,8 @@ def _cmd_check_group(args) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_classify_map(args) -> tuple[int, dict, list[str]]:
+    from .morphisms import classify_map, map_to_json
+
     G = _load_group(args)
     if args.map:
         m = _named_map(G, args.map)
@@ -140,6 +147,8 @@ def _cmd_classify_map(args) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_symmetries(args) -> tuple[int, dict, list[str]]:
+    from .morphisms import enumerate_symmetries, map_to_json
+
     G = _load_group(args)
     maps = enumerate_symmetries(G, include_anti=args.anti)
     payload = {
@@ -154,6 +163,8 @@ def _cmd_symmetries(args) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_symmetry_group(args) -> tuple[int, dict, list[str]]:
+    from .morphisms import KIND_ANTI, symmetry_group
+
     G = _load_group(args)
     sym = symmetry_group(G)
     n_auto = sum(1 for m in sym.maps if m.preserves_products)
@@ -179,6 +190,8 @@ def _cmd_symmetry_group(args) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_generated_subgroup(args) -> tuple[int, dict, list[str]]:
+    from .morphisms import symmetry_group
+
     G = _load_group(args)
     names = [part.strip() for part in args.maps.split(",") if part.strip()]
     if not names:
@@ -203,6 +216,10 @@ def _cmd_generated_subgroup(args) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_cf_check(args) -> tuple[int, dict, list[str]]:
+    from . import formula as cf
+    from .dsl import render_formula
+    from .morphisms import map_to_json
+
     G = _load_group(args)
     variant = _load_variant(args)
     assignment = _parse_assignment(G, args.assign, args.allow_repeats)
@@ -228,6 +245,8 @@ def _cmd_cf_check(args) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_cf_enumerate(args) -> tuple[int, dict, list[str]]:
+    from . import formula as cf
+
     G = _load_group(args)
     variant = _load_variant(args)
     pins = _parse_role_values(G, args.pin) if args.pin else {}
@@ -256,7 +275,10 @@ def _cmd_cf_enumerate(args) -> tuple[int, dict, list[str]]:
     return (0 if results else 1), payload, lines
 
 
-def _cmd_cf_orbit(args) -> tuple[int, dict, Iterable[str]]:
+def _cmd_cf_orbit(args) -> tuple[int, dict | Iterator[str], Iterable[str]]:
+    from . import formula as cf
+    from .dsl import render_formula
+
     if args.steps > MAX_ORBIT_STEPS:
         raise WorkLimitExceeded(
             f"--steps {args.steps} is above the bound of {MAX_ORBIT_STEPS} steps"
@@ -271,7 +293,13 @@ def _cmd_cf_orbit(args) -> tuple[int, dict, Iterable[str]]:
     result = cf.iterate_chain(variant, args.steps, assignment)
     formula = render_formula(variant)
     if args.json:
-        return 0, {"variant": variant.name, "formula": formula, **cf.chain_to_json(result)}, []
+        payload = {
+            "variant": variant.name,
+            "formula": formula,
+            "symbolic_period": result.symbolic_period,
+            "element_period": result.element_period,
+        }
+        return 0, _orbit_json(payload, result), []
 
     def state_text(side: str, labels) -> str:
         if labels is None:
@@ -285,7 +313,36 @@ def _cmd_cf_orbit(args) -> tuple[int, dict, Iterable[str]]:
     return 0, {}, chain([f"{variant.name}: {formula}"], steps, tail)
 
 
+def _orbit_json(payload: dict, result) -> Iterator[str]:
+    """The --json document of payload plus the chain's "steps", in chunks.
+
+    The steps of one orbit state differ only in their number, so each state
+    is encoded once, as the text on either side of that number.  The "steps"
+    and "step" keys are found by their unescaped quotes, which no encoded
+    string holds.
+    """
+    from .formula import _rendered_steps
+
+    encoder = _json_encoder()
+
+    def state(side: str, labels) -> tuple[str, str]:
+        # A step object sits two levels, four spaces, deep in the document.
+        text = encoder.encode({"side": side, "step": 0, "tuple": labels})
+        before, _, after = text.replace("\n", "\n    ").partition('"step": 0')
+        return "    " + before + '"step": ', after
+
+    head, _, tail = encoder.encode({**payload, "steps": []}).partition('"steps": []')
+    yield head + '"steps": ['
+    separator = "\n"
+    for t, (before, after) in _rendered_steps(result, state):
+        yield f"{separator}{before}{t}{after}"
+        separator = ",\n"
+    yield "\n  ]" + tail
+
+
 def _cmd_fraction_rule(args) -> tuple[int, dict, list[str]]:
+    from . import formula as cf
+
     G = _load_group(args)
     if args.assign:
         assignment = _parse_assignment(G, args.assign, allow_repeats=True)
@@ -307,6 +364,17 @@ def _cmd_fraction_rule(args) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_demo(args) -> tuple[int, dict, list[str]]:
+    from . import formula as cf
+    from .morphisms import (
+        KIND_ANTI,
+        KIND_HOM,
+        compose_maps,
+        enumerate_symmetries,
+        is_outer,
+        map_to_json,
+        q8_symmetry,
+    )
+
     q8 = standard_group("q8")
     lab = q8.label
     idx = q8.index_of
@@ -439,64 +507,48 @@ def _add_group_options(parser: argparse.ArgumentParser, required: bool = True) -
 
 
 def _add_variant_options(parser: argparse.ArgumentParser) -> None:
+    from .formula import BUILTIN_VARIANTS
+
     group = parser.add_mutually_exclusive_group(required=True)
-    group.add_argument("--variant", choices=sorted(cf.BUILTIN_VARIANTS), help="built-in variant")
+    group.add_argument("--variant", choices=sorted(BUILTIN_VARIANTS), help="built-in variant")
     group.add_argument("--formula", help="formula string, e.g. 'F_x(a):F_y(b) => F_x(b):F_a^-1(y)'")
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="cfkit",
-        description="Finite-group toolkit and canonical-formula analyzer.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name: str, handler, help_text: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--json", action="store_true", help="emit a single JSON object")
-        p.set_defaults(handler=handler)
-        return p
-
-    p = command("check-group", _cmd_check_group, "validate a group table")
-    _add_group_options(p)
-
-    p = command("classify-map", _cmd_classify_map, "classify a self-map of a group")
+def _classify_map_options(p: argparse.ArgumentParser) -> None:
     _add_group_options(p)
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--images", help="comma-separated target labels in element order")
     mode.add_argument("--map", help="named map: id, inv, lambda, sigma, tau")
 
-    p = command("symmetries", _cmd_symmetries, "enumerate automorphisms (and anti-automorphisms)")
+
+def _symmetries_options(p: argparse.ArgumentParser) -> None:
     _add_group_options(p)
     p.add_argument("--anti", action="store_true", help="include anti-automorphisms")
 
-    p = command("symmetry-group", _cmd_symmetry_group, "the full symmetry set as a group")
-    _add_group_options(p)
 
-    p = command(
-        "generated-subgroup",
-        _cmd_generated_subgroup,
-        "order of the subgroup generated by named maps inside the symmetry group",
-    )
+def _generated_subgroup_options(p: argparse.ArgumentParser) -> None:
     _add_group_options(p, required=False)
     p.set_defaults(group="q8")
     p.add_argument("--maps", required=True, help="comma-separated map names (lambda, sigma, tau, inv, id)")
 
-    p = command("cf-check", _cmd_cf_check, "search realizations of a variant at an assignment")
+
+def _cf_check_options(p: argparse.ArgumentParser) -> None:
     _add_group_options(p)
     _add_variant_options(p)
     p.add_argument("--assign", required=True, help="x=<label>,y=<label>,a=<label>,b=<label>")
     p.add_argument("--anti", action="store_true", help="allow anti-automorphism realizations")
     p.add_argument("--allow-repeats", action="store_true", help="relax role-value distinctness")
 
-    p = command("cf-enumerate", _cmd_cf_enumerate, "enumerate realizable assignments")
+
+def _cf_enumerate_options(p: argparse.ArgumentParser) -> None:
     _add_group_options(p)
     _add_variant_options(p)
     p.add_argument("--pin", help="partial pins, e.g. x=1,y=j")
     p.add_argument("--anti", action="store_true", help="allow anti-automorphism realizations")
     p.add_argument("--allow-repeats", action="store_true", help="relax role-value distinctness")
 
-    p = command("cf-orbit", _cmd_cf_orbit, "iterate a variant's rule symbolically (and on values)")
+
+def _cf_orbit_options(p: argparse.ArgumentParser) -> None:
     _add_group_options(p, required=False)
     _add_variant_options(p)
     p.add_argument(
@@ -506,17 +558,73 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--assign", help="optional x=..,y=..,a=..,b=.. to track element values")
     p.add_argument("--allow-repeats", action="store_true", help="relax role-value distinctness")
 
-    p = command("fraction-rule", _cmd_fraction_rule, "check the fraction identity on a commutative group")
+
+def _fraction_rule_options(p: argparse.ArgumentParser) -> None:
     _add_group_options(p)
     p.add_argument("--assign", help="single assignment to check; omit to sweep all")
 
-    command("demo", _cmd_demo, "replay the quaternion showcase end-to-end")
 
+# Each subcommand's handler, help line and own arguments, in --help order.
+_COMMANDS = {
+    "check-group": (_cmd_check_group, "validate a group table", _add_group_options),
+    "classify-map": (_cmd_classify_map, "classify a self-map of a group", _classify_map_options),
+    "symmetries": (
+        _cmd_symmetries, "enumerate automorphisms (and anti-automorphisms)", _symmetries_options,
+    ),
+    "symmetry-group": (
+        _cmd_symmetry_group, "the full symmetry set as a group", _add_group_options,
+    ),
+    "generated-subgroup": (
+        _cmd_generated_subgroup,
+        "order of the subgroup generated by named maps inside the symmetry group",
+        _generated_subgroup_options,
+    ),
+    "cf-check": (
+        _cmd_cf_check, "search realizations of a variant at an assignment", _cf_check_options,
+    ),
+    "cf-enumerate": (_cmd_cf_enumerate, "enumerate realizable assignments", _cf_enumerate_options),
+    "cf-orbit": (
+        _cmd_cf_orbit,
+        "iterate a variant's rule symbolically (and on values)",
+        _cf_orbit_options,
+    ),
+    "fraction-rule": (
+        _cmd_fraction_rule,
+        "check the fraction identity on a commutative group",
+        _fraction_rule_options,
+    ),
+    "demo": (_cmd_demo, "replay the quaternion showcase end-to-end", lambda p: None),
+}
+
+
+def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The parser with every subcommand registered; the arguments are added
+    for the subcommand `only` alone, or for all of them when it is None."""
+    parser = argparse.ArgumentParser(
+        prog="cfkit",
+        description="Finite-group toolkit and canonical-formula analyzer.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (handler, help_text, add_options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler)
+        if only is None or only == name:
+            p.add_argument("--json", action="store_true", help="emit a single JSON object")
+            add_options(p)
     return parser
 
 
+def _json_encoder() -> json.JSONEncoder:
+    """The encoder of every --json document.  It is the pure-Python one that
+    json.dumps uses whenever indent is set, so the bytes are the same."""
+    return json.JSONEncoder(indent=2, sort_keys=True)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # The top-level parser takes no option with a value, so the first
+    # subcommand name in argv is the one argparse dispatches to.
+    parser = _build_parser(next((a for a in argv if a in _COMMANDS), None))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -527,17 +635,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ToolkitError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if not args.json:
+        chunks = map("{}\n".format, lines)
+    elif isinstance(payload, dict):
+        chunks = chain(_json_encoder().iterencode(payload), ["\n"])
+    else:
+        chunks = chain(payload, ["\n"])
     try:
-        if args.json:
-            # The pure-Python encoder json.dumps uses whenever indent is set,
-            # so the bytes are the same; 4,096 chunks per write keep it fast.
-            chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload)
-            for block in iter(lambda: list(islice(chunks, 4096)), []):
-                sys.stdout.write("".join(block))
-            sys.stdout.write("\n")
-        else:
-            for line in lines:
-                print(line)
+        # 4,096 chunks per write keep the writes few.
+        for block in iter(lambda: list(islice(chunks, 4096)), []):
+            sys.stdout.write("".join(block))
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader left (as `| head` does).  The interpreter flushes stdout

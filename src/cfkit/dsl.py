@@ -13,18 +13,22 @@ inversion syntax.
 from __future__ import annotations
 
 import json
+from typing import TYPE_CHECKING
 
 from .errors import InconsistentRule, ParseError
-from .formula import BUILTIN_VARIANTS, CFVariant, FormulaSide, ROLES, RoleTerm
 from .groups import FiniteGroup, _check_order, build_group
+
+if TYPE_CHECKING:
+    from .formula import CFVariant, FormulaSide, RoleTerm
 
 _WHITESPACE = " \t\r\n"
 
 
 class _Scanner:
-    def __init__(self, text: str) -> None:
+    def __init__(self, text: str, formula) -> None:
         self.text = text
         self.pos = 0
+        self.formula = formula
 
     def skip_ws(self) -> None:
         while self.pos < len(self.text) and self.text[self.pos] in _WHITESPACE:
@@ -45,11 +49,12 @@ class _Scanner:
 
     def term(self) -> RoleTerm:
         self.skip_ws()
-        if self.pos >= len(self.text) or self.text[self.pos] not in ROLES:
-            raise ParseError(f"expected a role (one of {', '.join(ROLES)})", position=self.pos)
+        roles = self.formula.ROLES
+        if self.pos >= len(self.text) or self.text[self.pos] not in roles:
+            raise ParseError(f"expected a role (one of {', '.join(roles)})", position=self.pos)
         role = self.text[self.pos]
         self.pos += 1
-        return RoleTerm(role, self.try_take("^-1"))
+        return self.formula.RoleTerm(role, self.try_take("^-1"))
 
     def unit(self) -> tuple[RoleTerm, RoleTerm]:
         self.expect("F_")
@@ -63,7 +68,7 @@ class _Scanner:
         first = self.unit()
         self.expect(":")
         second = self.unit()
-        return FormulaSide(first, second)
+        return self.formula.FormulaSide(first, second)
 
     def end(self) -> None:
         self.skip_ws()
@@ -71,17 +76,17 @@ class _Scanner:
             raise ParseError("unexpected trailing text", position=self.pos)
 
 
-def _infer_rule(lhs: FormulaSide, rhs: FormulaSide) -> dict[str, RoleTerm]:
+def _infer_rule(lhs: FormulaSide, rhs: FormulaSide, formula) -> dict[str, RoleTerm]:
     rule: dict[str, RoleTerm] = {}
     for lt, rt in zip(lhs.terms(), rhs.terms()):
-        image = RoleTerm(rt.role, rt.inverted ^ lt.inverted)
+        image = formula.RoleTerm(rt.role, rt.inverted ^ lt.inverted)
         if lt.role in rule and rule[lt.role] != image:
             raise InconsistentRule(
                 f"role {lt.role!r} would need both {rule[lt.role]} and {image} as images"
             )
         rule.setdefault(lt.role, image)
-    for role in ROLES:
-        rule.setdefault(role, RoleTerm(role))
+    for role in formula.ROLES:
+        rule.setdefault(role, formula.RoleTerm(role))
     return rule
 
 
@@ -91,16 +96,20 @@ def parse_formula(text: str) -> CFVariant:
     A parse that coincides with a built-in variant returns that built-in;
     anything else is named "custom".
     """
-    scanner = _Scanner(text)
+    # Imported here, so that reading a group file leaves the formula module
+    # unloaded.
+    from . import formula
+
+    scanner = _Scanner(text, formula)
     lhs = scanner.side()
     scanner.expect("=>")
     rhs = scanner.side()
     scanner.end()
-    rule = _infer_rule(lhs, rhs)
-    for name, builtin in BUILTIN_VARIANTS.items():
+    rule = _infer_rule(lhs, rhs, formula)
+    for builtin in formula.BUILTIN_VARIANTS.values():
         if builtin.lhs == lhs and builtin.rhs == rhs and builtin.rule == rule:
             return builtin
-    return CFVariant("custom", lhs, rhs, rule)
+    return formula.CFVariant("custom", lhs, rhs, rule)
 
 
 def render_formula(variant: CFVariant) -> str:

@@ -9,7 +9,7 @@ finite group.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import cycle, islice
+from itertools import chain, cycle, repeat
 from operator import itemgetter
 from typing import Callable, Mapping, NamedTuple, Optional
 
@@ -23,13 +23,11 @@ from .errors import (
     UnsatisfiableConstraint,
     WorkLimitExceeded,
 )
-from .groups import FiniteGroup
+from .groups import MAX_ORBIT_STEPS, FiniteGroup
 from .morphisms import GroupMap, _symmetries_agreeing, enumerate_symmetries
 
 ROLES = ("x", "y", "a", "b")
 _ROLE_SET = frozenset(ROLES)
-# A chain holds one step record per step, so longer chains are refused.
-MAX_ORBIT_STEPS = 10**6
 
 
 @frozen
@@ -386,11 +384,6 @@ def iterate_chain(
         raise WorkLimitExceeded(f"steps {steps} is above the bound of {MAX_ORBIT_STEPS} steps")
     sides, picks, start = variant._orbit
     length = len(sides)
-    # Step t is orbit state t up to `length`, then cycles through the states
-    # from `start` on.
-    positions = list(range(min(steps + 1, length)))
-    positions.extend(islice(cycle(range(start, length)), steps + 1 - len(positions)))
-
     # The values at a step are a function of its substitution, so they repeat
     # with it: if step 0's values ever recur, they do so by step `length`,
     # whose state is `start`.
@@ -404,16 +397,22 @@ def iterate_chain(
             (t for t in range(1, length) if values[t] == first),
             length if values[start] == first else None,
         )
-    chain = tuple(
+    # Step t is orbit state t up to `length`, then cycles through the states
+    # from `start` on.  tuple.__new__ makes each ChainStep as its own __new__
+    # would, without a Python-level call per step.
+    chain_steps = tuple(
         map(
-            ChainStep,
-            range(steps + 1),
-            map(sides.__getitem__, positions),
-            map(values.__getitem__, positions),
+            tuple.__new__,
+            repeat(ChainStep),
+            zip(
+                range(steps + 1),
+                chain(sides, cycle(sides[start:])),
+                chain(values, cycle(values[start:])),
+            ),
         )
     )
     symbolic_period = length if start == 0 else None
-    return ChainResult(chain, symbolic_period, element_period, assignment)
+    return ChainResult(chain_steps, symbolic_period, element_period, assignment)
 
 
 # ---------------------------------------------------------------------------

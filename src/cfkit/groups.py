@@ -26,6 +26,10 @@ from .errors import (
 
 # Orders above this are out of scope for the whole toolkit.
 MAX_ORDER = 64
+# A chain holds one step record per step, so longer chains are refused.  It
+# is kept here, with the other bound, so that the command line can name it
+# without loading the formula module.
+MAX_ORBIT_STEPS = 10**6
 
 
 def _check_order(n: int) -> None:

@@ -293,13 +293,8 @@ def _cmd_cf_orbit(args) -> tuple[int, dict | Iterator[str], Iterable[str]]:
     result = cf.iterate_chain(variant, args.steps, assignment)
     formula = render_formula(variant)
     if args.json:
-        payload = {
-            "variant": variant.name,
-            "formula": formula,
-            "symbolic_period": result.symbolic_period,
-            "element_period": result.element_period,
-        }
-        return 0, _orbit_json(payload, result), []
+        payload = {"variant": variant.name, "formula": formula}
+        return 0, cf._chain_json_chunks(result, payload, _json_encoder()), []
 
     def state_text(side: str, labels) -> str:
         if labels is None:
@@ -311,33 +306,6 @@ def _cmd_cf_orbit(args) -> tuple[int, dict | Iterator[str], Iterable[str]]:
     if assignment is not None:
         tail.append(f"element period: {result.element_period}")
     return 0, {}, chain([f"{variant.name}: {formula}"], steps, tail)
-
-
-def _orbit_json(payload: dict, result) -> Iterator[str]:
-    """The --json document of payload plus the chain's "steps", in chunks.
-
-    The steps of one orbit state differ only in their number, so each state
-    is encoded once, as the text on either side of that number.  The "steps"
-    and "step" keys are found by their unescaped quotes, which no encoded
-    string holds.
-    """
-    from .formula import _rendered_steps
-
-    encoder = _json_encoder()
-
-    def state(side: str, labels) -> tuple[str, str]:
-        # A step object sits two levels, four spaces, deep in the document.
-        text = encoder.encode({"side": side, "step": 0, "tuple": labels})
-        before, _, after = text.replace("\n", "\n    ").partition('"step": 0')
-        return "    " + before + '"step": ', after
-
-    head, _, tail = encoder.encode({**payload, "steps": []}).partition('"steps": []')
-    yield head + '"steps": ['
-    separator = "\n"
-    for t, (before, after) in _rendered_steps(result, state):
-        yield f"{separator}{before}{t}{after}"
-        separator = ",\n"
-    yield "\n  ]" + tail
 
 
 def _cmd_fraction_rule(args) -> tuple[int, dict, list[str]]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import chain, cycle, repeat
 from operator import itemgetter
-from typing import Callable, Mapping, NamedTuple, Optional
+from typing import Callable, Iterator, Mapping, NamedTuple, Optional
 
 from ._record import frozen
 from .errors import (
@@ -468,15 +468,41 @@ def _rendered_steps(result: ChainResult, render: Callable):
         yield s.step, state
 
 
+def _step_json(t: int, side: str, labels: Optional[list[str]]) -> dict:
+    return {"step": t, "side": side, "tuple": labels}
+
+
+def _periods_json(result: ChainResult) -> dict:
+    return {"symbolic_period": result.symbolic_period, "element_period": result.element_period}
+
+
 def chain_to_json(result: ChainResult) -> dict:
     """Wire form of a chain; the steps of one orbit state share their
     "tuple" list."""
-    steps = [
-        {"step": t, "side": side, "tuple": labels}
-        for t, (side, labels) in _rendered_steps(result, lambda *state: state)
-    ]
-    return {
-        "steps": steps,
-        "symbolic_period": result.symbolic_period,
-        "element_period": result.element_period,
-    }
+    steps = [_step_json(t, *state) for t, state in _rendered_steps(result, lambda *state: state)]
+    return {"steps": steps, **_periods_json(result)}
+
+
+def _chain_json_chunks(result: ChainResult, payload: dict, encoder) -> Iterator[str]:
+    """encoder's document of payload plus chain_to_json(result), in chunks.
+
+    The steps of one orbit state differ only in their number, so each state
+    is encoded once, as the text on either side of that number.  The "steps"
+    and "step" keys are found by their unescaped quotes, which no encoded
+    string holds.
+    """
+
+    def state(side: str, labels) -> tuple[str, str]:
+        # A step object sits two levels, four spaces, deep in the document.
+        text = encoder.encode(_step_json(0, side, labels))
+        before, _, after = text.replace("\n", "\n    ").partition('"step": 0')
+        return "    " + before + '"step": ', after
+
+    document = encoder.encode({**payload, "steps": [], **_periods_json(result)})
+    head, _, tail = document.partition('"steps": []')
+    yield head + '"steps": ['
+    separator = "\n"
+    for t, (before, after) in _rendered_steps(result, state):
+        yield f"{separator}{before}{t}{after}"
+        separator = ",\n"
+    yield "\n  ]" + tail

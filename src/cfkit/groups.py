@@ -330,8 +330,7 @@ def _standard_group(kind: str, n: int | None) -> FiniteGroup:
         table = tuple(tuple(_q8_product(r, c) for c in range(8)) for r in range(8))
         return build_group("q8", _Q8_LABELS, table, 0)
     if kind == "cyclic":
-        if n > MAX_ORDER:
-            raise GroupTooLarge(f"cyclic order {n} exceeds the supported bound {MAX_ORDER}")
+        _check_order(n)
         table = tuple(tuple((r + c) % n for c in range(n)) for r in range(n))
         return build_group(f"c{n}", tuple(str(r) for r in range(n)), table, 0)
     if kind == "elementary_abelian_2":

@@ -158,7 +158,14 @@ def invert_map(f: GroupMap) -> GroupMap:
 def _bijective_homomorphisms(
     G: FiniteGroup, H: FiniteGroup, limit: int | None = None
 ) -> list[tuple[int, ...]]:
-    """Backtracking search over generator images with closure propagation."""
+    """Backtracking search over generator images with closure propagation;
+    groups above MAX_SYMMETRY_BASE are refused before any other work."""
+    largest = max(G, H, key=lambda K: K.order)
+    if largest.order > MAX_SYMMETRY_BASE:
+        raise GroupTooLarge(
+            f"group {largest.name!r} has order {largest.order}; symmetry and "
+            f"isomorphism searches support orders up to {MAX_SYMMETRY_BASE}"
+        )
     n = G.order
     src_orders, dst_orders = G.orders, H.orders
     if sorted(src_orders) != sorted(dst_orders):
@@ -224,10 +231,6 @@ def _symmetries(G: FiniteGroup) -> tuple[tuple[tuple[int, ...], ...], dict]:
     request, with its (element, image) index: index[s][d] holds the maps
     with f(s) = d, in the list's order.
     """
-    if G.order > MAX_SYMMETRY_BASE:
-        raise GroupTooLarge(
-            f"symmetry enumeration supports orders up to {MAX_SYMMETRY_BASE}, got {G.order}"
-        )
     return tuple(_bijective_homomorphisms(G, G)), {}
 
 
@@ -288,9 +291,10 @@ class SymmetryGroup:
     as_group: FiniteGroup
 
     def index_of_map(self, m: GroupMap) -> int:
-        for i, candidate in enumerate(self.maps):
-            if candidate.images == m.images:
-                return i
+        if m.source == self.base == m.target:
+            for i, candidate in enumerate(self.maps):
+                if candidate.images == m.images:
+                    return i
         raise ValueError(f"map is not a symmetry of {self.base.name!r}")
 
 
@@ -339,10 +343,6 @@ def is_outer(f: GroupMap) -> bool:
 
 def isomorphisms(G: FiniteGroup, H: FiniteGroup, limit: int | None = None) -> tuple[GroupMap, ...]:
     """All product-preserving bijections G -> H, by exhaustive search."""
-    if max(G.order, H.order) > MAX_SYMMETRY_BASE:
-        raise GroupTooLarge(
-            f"isomorphism search supports orders up to {MAX_SYMMETRY_BASE}"
-        )
     found = _bijective_homomorphisms(G, H, limit=limit)
     return tuple(classify_map(G, H, imgs) for imgs in found)
 

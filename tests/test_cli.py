@@ -2,13 +2,14 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from cfkit import UnknownKind
+from cfkit import UnknownKind, cli
 from cfkit.cli import EXIT_BROKEN_PIPE, main
 from cfkit.groups import catalog_group
 
@@ -315,3 +316,32 @@ def test_group_file_flag_round_trip(tmp_path, capsys):
 
 def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
+
+
+GROUP = ["--group", "--file"]
+VARIANT = ["--variant", "--formula"]
+# Each subcommand's own options, besides --help and --json.
+OPTIONS = {
+    "check-group": GROUP,
+    "classify-map": GROUP + ["--images", "--map"],
+    "symmetries": GROUP + ["--anti"],
+    "symmetry-group": GROUP,
+    "generated-subgroup": GROUP + ["--maps"],
+    "cf-check": GROUP + VARIANT + ["--assign", "--anti", "--allow-repeats"],
+    "cf-enumerate": GROUP + VARIANT + ["--pin", "--anti", "--allow-repeats"],
+    "cf-orbit": GROUP + VARIANT + ["--steps", "--assign", "--allow-repeats"],
+    "fraction-rule": GROUP + ["--assign"],
+    "demo": [],
+}
+
+
+def test_every_subcommand_has_options():
+    assert list(OPTIONS) == list(cli._COMMANDS)
+
+
+@pytest.mark.parametrize("name", list(OPTIONS))
+def test_subcommand_help_lists_its_own_options(name, capsys):
+    code, out, err = run(capsys, name, "--help")
+    assert (code, err) == (0, "")
+    assert out.startswith(f"usage: cfkit {name} ")
+    assert set(re.findall(r"--[a-z][a-z-]*", out)) == {"--help", "--json", *OPTIONS[name]}

@@ -2,7 +2,8 @@
 
 Group-file fields of the wrong JSON type, empty and ragged tables handed to
 `build_group`, unknown variant names, the `id`/`inv` names on a group other
-than q8, an empty `--maps` list, a map that is not a symmetry, composition
+than q8, an empty `--maps` list, a map that is not a symmetry (or lives on
+another group), composition
 with a map that obeys neither law, and isomorphism searches between groups
 of different orders.
 """
@@ -128,6 +129,20 @@ def test_index_of_a_map_that_is_not_a_symmetry():
     constant = classify_map(Q8, Q8, (Q8.identity,) * Q8.order)
     with pytest.raises(ValueError, match="map is not a symmetry of 'q8'"):
         sym.index_of_map(constant)
+
+
+def test_index_of_a_map_on_another_group():
+    # c4 and klein share their identity's images, but only c4's maps count.
+    klein = catalog_group("klein")
+    sym = symmetry_group(C4)
+    assert sym.index_of_map(identity_map(C4)) == 0
+    for m in (
+        identity_map(klein),
+        classify_map(C4, klein, tuple(range(4))),
+        classify_map(klein, C4, tuple(range(4))),
+    ):
+        with pytest.raises(ValueError, match="map is not a symmetry of 'c4'"):
+            sym.index_of_map(m)
 
 
 def test_composing_with_a_map_of_neither_kind_checks_no_kind():

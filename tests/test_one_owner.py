@@ -3,8 +3,12 @@
 The (element, image) index is built with its symmetry list, and realization
 queries look it up through one morphisms function.  Both chain renderers read
 one rendering of each orbit state, and they match frozen copies of the
-renderers that each kept their own state cache.  `iterate_chain` refuses
-chains above the bound the command line uses, before building any step.
+renderers that each kept their own state cache; the streamed `--json` chain
+is `chain_to_json`'s.  The symmetry and isomorphism searches refuse a group
+above their order bound before any other work, with one message, and a
+cyclic group above the order bound is refused as any other table is.
+`iterate_chain` refuses chains above the bound the command line uses, before
+building any step.
 Alongside: deeply nested group files, and the isomorphism names that no
 other test touches.
 """
@@ -26,6 +30,7 @@ from cfkit import (
     are_isomorphic,
     build_group,
     catalog,
+    chain_to_json,
     classify_map,
     enumerate_symmetries,
     induced_partial_map,
@@ -35,9 +40,10 @@ from cfkit import (
     realizations,
     render_formula,
     standard_group,
+    symmetry_group,
 )
 from cfkit import cli
-from cfkit.formula import MAX_ORBIT_STEPS, ROLES
+from cfkit.formula import MAX_ORBIT_STEPS, ROLES, _chain_json_chunks
 from cfkit.morphisms import _symmetries
 
 CATALOG = list(catalog().values())
@@ -171,6 +177,55 @@ def test_cf_orbit_matches_the_frozen_renderers(capsys, name, assign):
     payload = {"variant": name, "formula": formula, **frozen_chain_to_json(result)}
     assert (code, err) == (0, "")
     assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("assign", [None, "x=1,a=i,y=j,b=k"])
+def test_the_streamed_chain_is_chain_to_json(assign):
+    # Labels that spell the keys the writer splits at are escaped, so they
+    # cannot be mistaken for them.
+    labels = ['"step": 0', '"steps": []', "\n", "\u00fc"]
+    C4 = catalog()["c4"]
+    G = build_group("c4-keys", labels, C4.table)
+    assignment = RoleAssignment(G, dict(zip(ROLES, range(4))))
+    payload = {"variant": "classic", "formula": render_formula(CLASSIC)}
+    encoder = cli._json_encoder()
+    for result in (iterate_chain(CLASSIC, 9, assignment), iterate_chain(CLASSIC, 9)):
+        streamed = "".join(_chain_json_chunks(result, payload, encoder))
+        expected = {**payload, **chain_to_json(result)}
+        assert streamed == json.dumps(expected, indent=2, sort_keys=True)
+
+
+# ---------------------------------------------------------------------------
+# the size gates
+
+
+@pytest.mark.parametrize(
+    "search",
+    [
+        enumerate_symmetries,
+        symmetry_group,
+        lambda G: isomorphisms(G, G),
+        lambda G: isomorphisms(Q8, G),
+        lambda G: isomorphisms(G, catalog()["c3"]),
+        lambda G: realizations(RoleAssignment(G, {"x": 1, "y": 2, "a": 3, "b": 4}), CLASSIC),
+    ],
+    ids=["symmetries", "symmetry-group", "self-isomorphisms", "into", "from", "realizations"],
+)
+def test_the_search_gate_names_the_group_before_any_other_work(search):
+    c17 = build_group("c17", [str(r) for r in range(17)],
+                      [[(r + c) % 17 for c in range(17)] for r in range(17)])
+    with pytest.raises(GroupTooLarge) as exc:
+        search(c17)
+    assert str(exc.value) == (
+        "group 'c17' has order 17; symmetry and isomorphism searches support orders up to 16"
+    )
+    assert "orders" not in vars(c17)
+
+
+def test_a_cyclic_group_above_the_order_bound_is_refused_as_any_table_is():
+    with pytest.raises(GroupTooLarge) as exc:
+        standard_group("cyclic", 65)
+    assert str(exc.value) == "order 65 exceeds the supported bound 64"
 
 
 # ---------------------------------------------------------------------------

@@ -92,8 +92,22 @@ BASE = ["cfkit", "cfkit._record", "cfkit.cli", "cfkit.errors", "cfkit.groups"]
              "--assign", "x=1,a=i,y=j,b=k"],
             ["cfkit.dsl", "cfkit.formula", "cfkit.morphisms"],
         ),
+        (
+            ["cf-enumerate", "--group", "q8", "--variant", "classic", "--anti",
+             "--pin", "x=1,a=i"],
+            ["cfkit.formula", "cfkit.morphisms"],
+        ),
+        (
+            ["cf-orbit", "--variant", "dual", "--steps", "3"],
+            ["cfkit.dsl", "cfkit.formula", "cfkit.morphisms"],
+        ),
+        (["fraction-rule", "--group", "c6"], ["cfkit.formula", "cfkit.morphisms"]),
+        (["demo"], ["cfkit.formula", "cfkit.morphisms"]),
     ],
-    ids=["check-group", "check-group-file", "symmetries", "cf-check"],
+    ids=[
+        "check-group", "check-group-file", "symmetries", "cf-check",
+        "cf-enumerate-variant", "cf-orbit-no-group", "fraction-rule", "demo",
+    ],
 )
 def test_a_command_loads_only_what_its_subcommand_runs(argv, extra):
     loaded = fresh_python(RUN_COMMAND, *argv).stderr.split()
